@@ -51,27 +51,3 @@ def lex_less(a: int, b: int) -> bool:
     if diff == 0:
         return False
     return bool(a & (diff & -diff))
-
-
-def longest_zero_run(mask: int, n: int) -> int:
-    """Length of the longest circular run of absent residues.  mask must be
-    nonzero (full absence has no well-defined run start)."""
-    absent = full_mask(n) & ~mask
-    if absent == 0:
-        return 0
-    s = format(absent, f"0{n}b")
-    # doubling the string makes wrap-around runs contiguous
-    return max(len(run) for run in (s + s).split("0"))
-
-
-def zero_run_ends(mask: int, n: int, run: int) -> list[int]:
-    """Positions immediately after each maximal absent-run of length `run`
-    (i.e. candidate interval starts), ascending."""
-    els = elements_of(mask)
-    out = []
-    for i, e in enumerate(els):
-        prev = els[i - 1]
-        gap = (e - prev - 1) % n  # for a singleton this is n - 1, as wanted
-        if gap == run:
-            out.append(e)
-    return sorted(out)

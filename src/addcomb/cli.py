@@ -26,7 +26,7 @@ from .freiman import (
     rectify,
 )
 from .intsets import IntSet
-from .literals import format_int_set, parse_any
+from .literals import check_modulus, format_int_set, parse_any
 from .residues import ResidueSet, sumset
 from .search import (
     FamilyParams,
@@ -49,7 +49,7 @@ def _load_set_argument(args, parser) -> ResidueSet | IntSet:
                 parser.error("duplicate elements in --file input")
             return IntSet.from_iterable(data)
         if isinstance(data, dict) and "modulus" in data and "elements" in data:
-            n, els = data["modulus"], data["elements"]
+            n, els = check_modulus(data["modulus"]), data["elements"]
             if len({e % n for e in els}) != len(els):
                 parser.error("duplicate elements mod n in --file input")
             return ResidueSet.from_elements(n, els)

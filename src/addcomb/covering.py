@@ -1,15 +1,16 @@
 """Minimal arithmetic-progression covering in Z_p and the covering verdicts.
 
-ell(A) is the least length of an AP containing A.  For prime p the sweep
-dilates by each inverse step and reads the longest run of absent residues;
-steps range over 1..(p-1)/2 only, since a step-d progression is a reversed
-step-(p-d) progression.
+ell(A) is the least length of an AP containing A: p minus the longest
+circular run of residues missing from m * A, over the units m = 1/step.
+residues.dilation_gaps computes that run for a chunk of rows at a time
+(memory bounded whatever p * |A|).  Negation keeps every run, so m and p - m
+agree and only m <= (p-1)/2 is swept; the witness, smallest step
+min(1/m, p - 1/m) then smallest start, is recovered for the winning step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from . import bits
 from .errors import (
@@ -20,7 +21,7 @@ from .errors import (
 )
 from .intsets import ApDescriptor
 from .primes import divisors
-from .residues import ResidueSet, sumset
+from .residues import ResidueSet, dilation_gaps, half_units, sumset
 
 
 @dataclass(frozen=True)
@@ -44,16 +45,10 @@ class CoverResult:
         }
 
 
-def _unit_step_min_cover(mask: int, m: int) -> int:
-    """Minimal covering length over unit steps in Z_m (nonempty mask)."""
-    best = m
-    for d in range(1, m // 2 + 1):
-        if gcd(d, m) != 1:
-            continue
-        inv = pow(d, -1, m)
-        dil = bits.dilate_mask(mask, inv, m)
-        best = min(best, m - bits.longest_zero_run(dil, m))
-    return best
+def _unit_step_min_cover(els: list[int], m: int) -> int:
+    """Minimal covering length over unit steps in Z_m (nonempty els)."""
+    sweep = dilation_gaps(els, m, half_units(m))
+    return m - max(int(gaps.max()) for _, gaps, _ in sweep)
 
 
 def min_ap_length_mod(mask: int, m: int) -> int:
@@ -65,30 +60,13 @@ def min_ap_length_mod(mask: int, m: int) -> int:
     """
     if mask == 0:
         raise EmptySetError("cannot cover the empty set")
-    if m == 1:
-        return 1
-    count = mask.bit_count()
-    if count == 1:
-        return 1
-    if count == m:
-        return m
     best = m
     els = bits.elements_of(mask)
     for g in divisors(m):
-        if g == m:
-            continue
-        if g == 1:
-            best = min(best, _unit_step_min_cover(mask, m))
-            continue
         r = els[0] % g
-        if any(e % g != r for e in els):
-            continue
-        m2 = m // g
-        reduced = bits.mask_of(((e - r) // g for e in els), m2)
-        if m2 == 1:
-            best = min(best, 1)
-        else:
-            best = min(best, _unit_step_min_cover(reduced, m2))
+        if g < m and all(e % g == r for e in els):
+            reduced = [(e - r) // g for e in els]
+            best = min(best, _unit_step_min_cover(reduced, m // g))
     return best
 
 
@@ -98,37 +76,46 @@ def min_ap_cover(a: ResidueSet) -> CoverResult:
     Witness tie-break: smallest step, then smallest start.  ell(Z_p) = p with
     the degenerate witness of step 1 starting at 0.
     """
-    p = a.modulus
     if not a.prime_modulus:
         raise PrimeRequiredError("min_ap_cover requires prime modulus")
-    k = len(a)
-    if k == 0:
+    if len(a) == 0:
         raise EmptySetError("cannot cover the empty set")
-    two_a = sumset(a)
-    bound = len(two_a) - k + 1
+    return _min_ap_cover(a, len(sumset(a)))
+
+
+def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
+    """min_ap_cover for a caller that already has |2A|."""
+    p = a.modulus
+    k = len(a)
+    bound = sumset_size - k + 1
     if k == p:
         witness = ApDescriptor(0, 1, p, ambient=p)
         return CoverResult(p, witness, bound, p <= bound)
-    best_len = p + 1
-    best_d = None
-    best_start = None
-    for d in range(1, max((p - 1) // 2, 1) + 1):
-        inv = pow(d, -1, p)
-        dil = bits.dilate_mask(a.mask, inv, p)
-        run = bits.longest_zero_run(dil, p)
-        length = p - run
-        if length < best_len:  # strict: ties keep the smallest step
-            starts = bits.zero_run_ends(dil, p, run)
-            best_len = length
-            best_d = d
-            best_start = min(s * d % p for s in starts)
-    witness = ApDescriptor(best_start, best_d, best_len, ambient=p)
-    assert witness.covers(a.elements()), "cover witness failed verification"
-    return CoverResult(best_len, witness, bound, best_len <= bound)
+    els = a.elements()
+    run, best = -1, []
+    for ms, gaps, _ in dilation_gaps(els, p, half_units(p)):
+        top = int(gaps.max())
+        if top > run:
+            run, best = top, []
+        if top == run:
+            best += ms[gaps == run].tolist()
+    step = min(min(inv, p - inv) for inv in (pow(m, -1, p) for m in best))
+    inv = pow(step, -1, p)
+    row = sorted(x * inv % p for x in els)
+    start = min(
+        e * step % p
+        for prev, e in zip(row[-1:] + row[:-1], row)
+        if (e - prev - 1) % p == run
+    )
+    length = p - run
+    witness = ApDescriptor(start, step, length, ambient=p)
+    assert witness.covers(els), "cover witness failed verification"
+    return CoverResult(length, witness, bound, length <= bound)
 
 
 def is_arithmetic_progression(a: ResidueSet) -> bool:
-    """ell(A) = |A| test, by the same sweep with early exit."""
+    """ell(A) = |A| test, by the same sweep, stopping at the first chunk
+    that holds a hit."""
     p = a.modulus
     if not a.prime_modulus:
         raise PrimeRequiredError("AP test requires prime modulus")
@@ -137,13 +124,8 @@ def is_arithmetic_progression(a: ResidueSet) -> bool:
         raise EmptySetError("empty set")
     if k in (1, p):
         return True
-    target = p - k
-    for d in range(1, max((p - 1) // 2, 1) + 1):
-        inv = pow(d, -1, p)
-        dil = bits.dilate_mask(a.mask, inv, p)
-        if bits.longest_zero_run(dil, p) == target:
-            return True
-    return False
+    sweep = dilation_gaps(a.elements(), p, half_units(p))
+    return any((gaps == p - k).any() for _, gaps, _ in sweep)
 
 
 @dataclass(frozen=True)
@@ -185,7 +167,7 @@ def covering_bound_verdict(a: ResidueSet) -> MainVerdict:
     two_a = sumset(a)
     doubling_ok = 100 * len(two_a) <= 248 * k - 700
     density_ok = DENSITY_DENOMINATOR * k < p
-    cover = min_ap_cover(a)
+    cover = _min_ap_cover(a, len(two_a))
     return MainVerdict(
         size=k,
         sumset_size=len(two_a),
@@ -285,6 +267,6 @@ def conjecture_verdict(a: ResidueSet) -> ConjectureVerdict:
     cond_ii = 0 <= x and x == k - 3 and x <= p - s - 3
     if not (cond_i or cond_ii):
         return ConjectureVerdict(k, s, x, cond_i, cond_ii, SILENT, None)
-    cover = min_ap_cover(a)
+    cover = _min_ap_cover(a, s)
     status = CONSISTENT if cover.within_bound else COUNTEREXAMPLE
     return ConjectureVerdict(k, s, x, cond_i, cond_ii, status, cover)

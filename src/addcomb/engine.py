@@ -16,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from . import bits
 from .errors import ConsistencyError, HypothesisNotMetError, PreconditionFailedError, PrimeRequiredError
-from .covering import CoverResult, min_ap_cover
+from .covering import CoverResult, _min_ap_cover
 from .freiman import additive_dimension_value, two_lines_cover
 from .intsets import ApDescriptor, IntSet, cover_3k4, min_cover_ap, sumset as int_sumset
-from .residues import ResidueSet, dilate, sumset
+from .residues import ResidueSet, cross_sum_mask, dilate, dilation_gaps, sumset
 from .spectral import RectWindow, best_half_window, spectrum
 
 BRANCH_WHOLE = "whole_set_rectifiable"
@@ -116,10 +116,10 @@ def _rectified_ints(mask: int, p: int, start: int) -> IntSet:
 
 def _window_start(mask: int, p: int) -> int | None:
     """A start u with the set inside [u, u + (p+1)/2), or None."""
-    run = bits.longest_zero_run(mask, p)
-    if p - run > (p + 1) // 2:
+    _, gaps, ends = next(dilation_gaps(bits.elements_of(mask), p, [1]))
+    if p - gaps[0] > (p + 1) // 2:
         return None
-    return bits.zero_run_ends(mask, p, run)[0]
+    return int(ends[0])
 
 
 def _finish_by_rectifying(
@@ -193,7 +193,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         if _finish_by_rectifying(trace, a, base_map, bound, BRANCH_WHOLE, 1):
             _verify(trace, a, two_a)
             return trace
-        return _fallback(trace, a, "whole-set 3k-4 hypothesis failed")
+        return _fallback(trace, a, two_a, "whole-set 3k-4 hypothesis failed")
 
     a1_ints = _rectified_ints(window.captured.mask, p, window.u)
     two_a1 = int_sumset(a1_ints)
@@ -202,7 +202,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     trace.annotations["a1_size"] = k1
     trace.annotations["a1_sumset_size"] = len(two_a1)
     if not trace.a1_doubling_ok:
-        return _fallback(trace, a, "captured part fails |2A1| <= 3.04|A1| - 7")
+        return _fallback(trace, a, two_a, "captured part fails |2A1| <= 3.04|A1| - 7")
 
     dim = additive_dimension_value(a1_ints)
     trace.dim_a1 = dim
@@ -228,13 +228,13 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         if _finish_by_rectifying(trace, a, to2, bound, BRANCH_CASE1, 2):
             _verify(trace, a, two_a)
             return trace
-        return _fallback(trace, a, "case-1 re-dilation did not rectify")
+        return _fallback(trace, a, two_a, "case-1 re-dilation did not rectify")
 
     # dim == 2
     try:
         tl = two_lines_cover(a1_ints)
     except PreconditionFailedError as e:
-        return _fallback(trace, a, f"two-progression structure unavailable: {e}")
+        return _fallback(trace, a, two_a, f"two-progression structure unavailable: {e}")
     trace.annotations["two_lines_route"] = tl.route
     r = tl.p1.step
     # orientation: first segment is the progression holding more of A1
@@ -273,7 +273,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     trace.annotations["c_near_third_p"] = abs(c - p / 3) <= 3 * k
 
     if analysis.remainder == 0:
-        return _fallback(trace, a, "no remainder outside the two segments")
+        return _fallback(trace, a, two_a, "no remainder outside the two segments")
     if analysis.test_i:
         witness = bits.elements_of(analysis.test_i)[0]
         trace.branch = BRANCH_CASE2_I
@@ -292,9 +292,9 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
                 _verify(trace, a, two_a)
                 return trace
             return _fallback(
-                trace, a, f"dilation by {dil} did not pull A into one window"
+                trace, a, two_a, f"dilation by {dil} did not pull A into one window"
             )
-    return _fallback(trace, a, "no subcase intersection fired")
+    return _fallback(trace, a, two_a, "no subcase intersection fired")
 
 
 @dataclass(frozen=True)
@@ -332,37 +332,19 @@ def two_segment_analysis(
         far=far,
         remainder=remainder,
         segments_overlap=bool(seg1 & seg2),
-        test_i=far_rest & sumset_mask_of(far, p),
+        test_i=far_rest & cross_sum_mask(far, far, p),
         test_ii=far_rest & cross_sum_mask(near, far, p),
-        test_iii=far_rest & sumset_mask_of(near, p),
+        test_iii=far_rest & cross_sum_mask(near, near, p),
     )
 
 
-def sumset_mask_of(mask: int, p: int) -> int:
-    out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out |= bits.rotate(mask, low.bit_length() - 1, p)
-        rest ^= low
-    return out
-
-
-def cross_sum_mask(m1: int, m2: int, p: int) -> int:
-    out = 0
-    rest = m1
-    while rest:
-        low = rest & -rest
-        out |= bits.rotate(m2, low.bit_length() - 1, p)
-        rest ^= low
-    return out
-
-
-def _fallback(trace: EngineTrace, a: ResidueSet, reason: str) -> EngineTrace:
+def _fallback(
+    trace: EngineTrace, a: ResidueSet, two_a: ResidueSet, reason: str
+) -> EngineTrace:
     trace.branch = BRANCH_FALLBACK
     trace.annotations["fallback_reason"] = reason
-    trace.result = min_ap_cover(a)
-    _verify(trace, a, sumset(a))
+    trace.result = _min_ap_cover(a, len(two_a))
+    _verify(trace, a, two_a)
     return trace
 
 

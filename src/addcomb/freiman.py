@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from . import bits, linalg
+from . import linalg
 from .errors import (
     ConsistencyError,
     NotFreimanIsomorphismError,
@@ -27,7 +27,7 @@ from .errors import (
     UndefinedDimensionError,
 )
 from .intsets import ApDescriptor, IntSet, normal_form, sumset as int_sumset
-from .residues import ResidueSet
+from .residues import ResidueSet, dilation_gaps, half_units
 
 Pair = tuple[int, int]
 Quadruple = tuple[Pair, Pair]
@@ -345,15 +345,12 @@ def _half_interval_dilation(a: ResidueSet) -> tuple[int, int] | None:
     set fitting such a window after a unit dilation embeds in Z verbatim.
     """
     n = a.modulus
-    window = (n + 1) // 2
-    for d in range(1, n):
-        if gcd(d, n) != 1:
-            continue
-        m = bits.dilate_mask(a.mask, d, n)
-        run = bits.longest_zero_run(m, n)
-        if n - run <= window:
-            u = bits.zero_run_ends(m, n, run)[0]
-            return d, u
+    # d and n - d fit alike, so the smallest fitting unit is at most n/2
+    for ms, gaps, ends in dilation_gaps(a.elements(), n, half_units(n)):
+        fit = n - gaps <= (n + 1) // 2
+        if fit.any():
+            i = int(fit.argmax())
+            return int(ms[i]), int(ends[i])
     return None
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+from . import bits
 from .errors import ConsistencyError, HypothesisNotMetError
 
 
@@ -116,16 +117,7 @@ def sumset(a: IntSet) -> IntSet:
     out = 0
     for e in a.elements:
         out |= mask << (e - shift)
-    return IntSet(tuple(2 * shift + i for i in _bit_positions(out)))
-
-
-def _bit_positions(mask: int) -> list[int]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return IntSet(tuple(2 * shift + i for i in bits.elements_of(out)))
 
 
 def min_interval_cover(a: IntSet) -> int:

@@ -2,14 +2,16 @@
 
 Residue sets: ``n=<modulus>:{e1,e2,...}``.  Integer sets: ``{e1,e2,...}``.
 Whitespace is ignored everywhere.  Elements of a residue literal are reduced
-mod n; duplicates after reduction are an error, never silently dropped.
+mod n; duplicates after reduction are an error, never silently dropped.  The
+modulus is capped at residues.MAX_MODULUS = 2^22: a literal cannot ask for
+a bitmask or a transform larger than the library can hold.
 """
 
 import re
 
 from .errors import LiteralError
 from .intsets import IntSet
-from .residues import ResidueSet
+from .residues import MAX_MODULUS, ResidueSet
 
 _RESIDUE_RE = re.compile(r"^n=(\d+):\{(.*)\}$")
 _INT_RE = re.compile(r"^\{(.*)\}$")
@@ -26,14 +28,21 @@ def _parse_body(body: str) -> list[int]:
     return out
 
 
+def check_modulus(n: int) -> int:
+    if n < 2:
+        raise LiteralError(f"modulus must be at least 2, got {n}")
+    if n > MAX_MODULUS:
+        raise LiteralError(f"modulus exceeds the cap {MAX_MODULUS}")
+    return n
+
+
 def parse_residue_set(text: str) -> ResidueSet:
     compact = re.sub(r"\s+", "", text)
     m = _RESIDUE_RE.match(compact)
     if not m:
         raise LiteralError(f"not a residue-set literal: {text!r}")
-    n = int(m.group(1))
-    if n < 2:
-        raise LiteralError(f"modulus must be at least 2, got {n}")
+    digits = m.group(1).lstrip("0") or "0"
+    n = check_modulus(int(digits) if len(digits) < 10 else MAX_MODULUS + 1)
     seen = set()
     for e in _parse_body(m.group(2)):
         r = e % n

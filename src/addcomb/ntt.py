@@ -14,34 +14,31 @@ _ROOT = 3
 _MAX_LOG = 23
 
 
+def _powers(w: int, count: int) -> np.ndarray:
+    """w^0 .. w^(count-1) mod MOD, doubling the table each step."""
+    ws = np.ones(1, dtype=np.int64)
+    while len(ws) < count:
+        ws = np.concatenate([ws, ws * pow(w, len(ws), MOD) % MOD])
+    return ws[:count]
+
+
 def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
     n = len(a)
-    a = a.copy()
-    # bit-reversal permutation
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            a[i], a[j] = a[j], a[i]
+    log = n.bit_length() - 1
+    idx = np.arange(n)
+    rev = np.zeros(n, dtype=np.int64)
+    for b in range(log):
+        rev |= ((idx >> b) & 1) << (log - 1 - b)
+    a = a[rev]  # bit-reversal permutation (a copy)
     length = 2
     while length <= n:
         w = pow(_ROOT, (MOD - 1) // length, MOD)
         if invert:
             w = pow(w, MOD - 2, MOD)
         half = length // 2
-        # twiddle table for this stage
-        ws = np.empty(half, dtype=np.int64)
-        cur = 1
-        for i in range(half):
-            ws[i] = cur
-            cur = cur * w % MOD
         blocks = a.reshape(n // length, length)
         lo = blocks[:, :half].copy()  # blocks is a view into a; keep the old halves
-        hi = blocks[:, half:] * ws % MOD
+        hi = blocks[:, half:] * _powers(w, half) % MOD
         blocks[:, :half] = (lo + hi) % MOD
         blocks[:, half:] = (lo - hi) % MOD
         length <<= 1
@@ -51,8 +48,9 @@ def _ntt(a: np.ndarray, invert: bool) -> np.ndarray:
     return a
 
 
-def convolve(f: list[int], g: list[int]) -> list[int]:
-    """Exact integer convolution, valid while coefficients stay below MOD."""
+def convolve(f, g) -> np.ndarray:
+    """Exact integer convolution of two coefficient sequences, valid while
+    coefficients stay below MOD."""
     need = len(f) + len(g) - 1
     size = 1
     while size < need:
@@ -66,5 +64,4 @@ def convolve(f: list[int], g: list[int]) -> list[int]:
     fa = _ntt(fa, invert=False)
     fb = _ntt(fb, invert=False)
     fa = fa * fb % MOD
-    out = _ntt(fa, invert=True)
-    return out[:need].tolist()
+    return _ntt(fa, invert=True)[:need]

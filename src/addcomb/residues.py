@@ -2,8 +2,8 @@
 
 ResidueSet is the value type every other module consumes: immutable, backed
 by a single int bitmask, with sumset / dilate / translate / negate kernels,
-affine canonical forms for exhaustive search, and coset-structure reports for
-composite moduli.
+the per-dilation gap sweep, affine canonical forms for exhaustive search, and
+coset-structure reports for composite moduli.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+
+import numpy as np
 
 from . import bits, ntt
 from .errors import (
@@ -22,8 +24,19 @@ from .errors import (
 )
 from .primes import divisors, is_prime
 
-# Above this modulus the shift-OR kernel loses to NTT convolution.
-CONVOLUTION_CUTOFF = 1 << 16
+# Largest modulus a literal may name.  It keeps the NTT length 2n - 1 within
+# the transform's 2^23 capacity, the sweep's int64 products m * a < n^2
+# exact, and a set's bitmask at 512 KiB.
+MAX_MODULUS = 1 << 22
+
+# sumset_mask("auto") runs the NTT above this many members.  Shift-OR costs
+# ~1.3e-10 s per |A| * n, the NTT ~3 us per point of a 2n-4n transform, so the
+# crossover is on |A| alone: measured at 26k-60k for 65,537 <= n <= 2^22.
+CONVOLUTION_MIN_SIZE = 1 << 15
+
+# Dilated elements held per chunk of rows by the per-dilation sweeps, so a
+# sweep's working memory stays near 64 * CHUNK_ELEMENTS bytes whatever n * |A|.
+CHUNK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True, order=True)
@@ -82,31 +95,32 @@ class CosetProfile:
     heaviest_coset_count: int = field(default=0)
 
 
-def _sumset_mask_shift_or(mask: int, n: int) -> int:
+def cross_sum_mask(m1: int, m2: int, n: int) -> int:
+    """A + B mod n for bitmasks A, B: one shift of the larger set per member
+    of the smaller, then a single fold of the bits past n."""
+    if m1.bit_count() > m2.bit_count():
+        m1, m2 = m2, m1
     out = 0
-    rest = mask
-    while rest:
-        low = rest & -rest
-        out |= bits.rotate(mask, low.bit_length() - 1, n)
-        rest ^= low
-    return out
+    for e in bits.elements_of(m1):
+        out |= m2 << e
+    return (out | out >> n) & bits.full_mask(n)
 
 
 def _sumset_mask_convolution(mask: int, n: int) -> int:
-    coeffs = [mask >> i & 1 for i in range(n)]
+    raw = np.frombuffer(mask.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    coeffs = np.unpackbits(raw, bitorder="little")[:n]
     conv = ntt.convolve(coeffs, coeffs)
-    out = 0
-    for i, c in enumerate(conv):
-        if c:
-            out |= 1 << (i % n)
-    return out
+    hit = conv[:n] > 0
+    hit[: n - 1] |= conv[n:] > 0
+    return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
 def sumset_mask(mask: int, n: int, method: str = "auto") -> int:
     if method == "auto":
-        method = "convolution" if n > CONVOLUTION_CUTOFF else "shift_or"
+        big = mask.bit_count() > CONVOLUTION_MIN_SIZE
+        method = "convolution" if big else "shift_or"
     if method == "shift_or":
-        return _sumset_mask_shift_or(mask, n)
+        return cross_sum_mask(mask, mask, n)
     if method == "convolution":
         return _sumset_mask_convolution(mask, n)
     raise ValueError(f"unknown sumset method {method!r}")
@@ -126,6 +140,36 @@ def dilate(a: ResidueSet, d: int) -> ResidueSet:
     if gcd(d, n) != 1:
         raise NonUnitDilationError(f"gcd({d}, {n}) != 1")
     return ResidueSet(n, bits.dilate_mask(a.mask, d, n))
+
+
+def half_units(n: int) -> np.ndarray:
+    """The units 1 <= m <= n/2 of Z_n, one of each pair m, n - m.  Negation
+    keeps every circular gap and maps a half window onto a half window, so
+    the sweeps below need only these rows."""
+    ms = np.arange(1, n // 2 + 1)
+    return ms[np.gcd(ms, n) == 1]
+
+
+def dilation_rows(elements, n: int, multipliers):
+    """Yields (ms, rows), chunk by chunk: the sorted dilates m * A mod n, one
+    row per multiplier in order.  Products m * a < n^2 are exact in int64."""
+    members = np.asarray(elements, dtype=np.int64)
+    ms = np.asarray(multipliers, dtype=np.int64)
+    per_chunk = max(1, CHUNK_ELEMENTS // len(members))
+    for lo in range(0, len(ms), per_chunk):
+        chunk = ms[lo : lo + per_chunk]
+        yield chunk, np.sort(chunk[:, None] * members % n, axis=1)
+
+
+def dilation_gaps(elements, n: int, multipliers):
+    """Yields (ms, gaps, ends) chunk by chunk, so callers can stop early: for
+    each multiplier m, the longest circular run of residues missing from m * A
+    (n - 1 for a singleton) and the smallest member right after such a run."""
+    for ms, rows in dilation_rows(elements, n, multipliers):
+        gaps = np.diff(rows, axis=1, prepend=rows[:, -1:] - n) - 1
+        first = gaps.argmax(axis=1)
+        r = np.arange(len(ms))
+        yield ms, gaps[r, first], rows[r, first]
 
 
 def translate(a: ResidueSet, u: int) -> ResidueSet:

@@ -428,7 +428,6 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
     # size >= 2 has a representative containing {0, 1}, so sweeping those
     # representatives checks every class (some more than once).
     examined = 0
-    violations: list[dict] = []
     for p in primes_upto(max_p):
         for rest in range(1 << max(p - 2, 0)):
             mask = 3 | (rest << 2)
@@ -436,7 +435,7 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
                 continue
             examined += 1
             vosper_verdict(ResidueSet(p, mask))  # ConsistencyError on failure
-    return examined, violations, [
+    return examined, [], [
         f"exhaustive over representatives containing {{0,1}}, p <= {max_p}"
     ]
 
@@ -445,13 +444,12 @@ def _suite_dim_bound(
     limit: int = 12, min_size: int = 2, max_size: int = 6
 ) -> tuple[int, list[dict], list[str]]:
     examined = 0
-    violations: list[dict] = []
     for elems in _normal_form_subsets(limit, min_size, max_size):
         examined += 1
         a = IntSet(elems)
         if not dimension_lower_bound_check(a):
             raise ConsistencyError(f"dimension lower bound failed on {elems}")
-    return examined, violations, [
+    return examined, [], [
         f"normal-form sets in [0, {limit}], sizes {min_size}..{max_size}"
     ]
 

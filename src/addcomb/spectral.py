@@ -7,6 +7,11 @@ explicitly.  Magnitudes are computed for d <= p/2 and mirrored, so conjugate
 symmetry holds exactly.  Inequality assertions on magnitudes use a 1e-6
 absolute tolerance; any verdict that compares cardinalities is re-ranked in
 exact integers, so floating error never flips it.
+
+The exact half-window search (p <= 2^14) reads the covering sweep's chunked
+rows (residues.dilation_rows), so its memory is bounded whatever p * |A|.
+Negation maps a half window onto a half window, so d and p - d capture alike
+and only d <= (p-1)/2 is searched.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     PreconditionFailedError,
     PrimeRequiredError,
 )
-from .residues import ResidueSet, dilate, sumset
+from .residues import ResidueSet, dilate, dilation_rows, half_units, sumset
 
 MAG_TOL = 1e-6
 EXACT_SEARCH_MAX_P = 1 << 14
@@ -91,19 +96,26 @@ def largest_coefficient(a: ResidueSet) -> LargeCoefficient:
     k = len(a)
     if k == 0:
         raise EmptySetError("largest coefficient of the empty set")
-    if k >= p:
+    d, magnitude = _top_frequency(a)
+    bound = large_coefficient_bound(p, k, len(sumset(a)))
+    if magnitude < bound - MAG_TOL:
+        raise ConsistencyError(
+            f"max |transform| {magnitude:.9f} below guaranteed bound {bound:.9f}"
+        )
+    return LargeCoefficient(d, magnitude, bound)
+
+
+def _top_frequency(a: ResidueSet) -> tuple[int, float]:
+    """The smallest nonzero frequency of maximal magnitude, and the magnitude
+    (a proper subset; float-level ties grouped)."""
+    if len(a) >= a.modulus:
         raise PreconditionFailedError("A must be a proper subset of Z_p")
     mags = spectrum(a).magnitudes
     tail = mags[1:]
     top = float(tail.max())
     # group float-level ties and take the smallest frequency
     d = 1 + int(np.nonzero(tail >= top - 1e-9 * max(1.0, top))[0][0])
-    bound = large_coefficient_bound(p, k, len(sumset(a)))
-    if mags[d] < bound - MAG_TOL:
-        raise ConsistencyError(
-            f"max |transform| {mags[d]:.9f} below guaranteed bound {bound:.9f}"
-        )
-    return LargeCoefficient(d, float(mags[d]), bound)
+    return d, float(mags[d])
 
 
 def energy_identity_residual(a: ResidueSet) -> float:
@@ -158,6 +170,16 @@ def window_capture_counts(a: ResidueSet, d: int) -> np.ndarray:
     return (cs[w:] - cs[:p]).astype(np.int64)
 
 
+def _member_window_counts(rows: np.ndarray, p: int, w: int) -> np.ndarray:
+    """For sorted rows of dilated members, the capture of the window
+    [x, x + w) anchored at each member x."""
+    n_rows, k = rows.shape
+    off = (np.arange(n_rows) * 2 * p)[:, None]
+    flat = (np.concatenate([rows, rows + p], axis=1) + off).ravel()
+    ends = np.searchsorted(flat, (rows + w + off).ravel()).reshape(n_rows, k)
+    return ends - off // p * k - np.arange(k)
+
+
 def best_half_window(a: ResidueSet) -> RectWindow:
     """The (d, u) whose half window captures the most of d * A.
 
@@ -177,30 +199,22 @@ def best_half_window(a: ResidueSet) -> RectWindow:
         # capture, so the maximum count is attained at member-anchored
         # windows; the exact smallest-u tie-break is recovered afterwards
         # for the winning dilation alone.
-        members = np.array(a.elements(), dtype=np.int64)
-        k = len(members)
-        pos = np.sort(np.arange(1, p)[:, None] * members[None, :] % p, axis=1)
-        ext = np.concatenate([pos, pos + p], axis=1)
-        row_off = (np.arange(p - 1) * 2 * p)[:, None]
-        flat = (ext + row_off).ravel()
-        queries = (pos + w + row_off).ravel()
-        ends = np.searchsorted(flat, queries, side="left")
-        counts = ends.reshape(p - 1, k) - np.arange(p - 1)[:, None] * 2 * k
-        counts -= np.arange(k)[None, :]
-        per_d = counts.max(axis=1)
-        count = int(per_d.max())
-        d = 1 + int(np.argmax(per_d))  # first row: smallest dilation
+        count, d = -1, None
+        for ms, rows in dilation_rows(a.elements(), p, half_units(p)):
+            per_d = _member_window_counts(rows, p, w).max(axis=1)
+            i = int(per_d.argmax())  # first row: smallest dilation
+            if per_d[i] > count:
+                count, d = int(per_d[i]), int(ms[i])
         exact_counts = window_capture_counts(a, d)
         assert int(exact_counts.max()) == count
         u = int(np.argmax(exact_counts))  # first index: smallest start
         mode = "exact"
     else:
-        lc = largest_coefficient(a)
-        d = lc.d
+        d, magnitude = _top_frequency(a)
         counts = window_capture_counts(a, d)
         count = int(counts.max())
         u = int(np.argmax(counts))
-        if count < (len(a) + lc.magnitude) / 2 - MAG_TOL:
+        if count < (len(a) + magnitude) / 2 - MAG_TOL:
             raise ConsistencyError(
                 "window capture below the guaranteed half-plus-coefficient bound"
             )

@@ -117,6 +117,25 @@ def test_usage_errors_exit_nonzero(capsys):
     assert code == 1
 
 
+def test_oversized_modulus_exits_1_quickly(tmp_path, capsys):
+    import time
+
+    started = time.monotonic()
+    code, _, err = invoke(capsys, "sumset", "n=1000000000000:{1,2}")
+    assert code == 1
+    assert "exceeds the cap" in err
+    code, _, err = invoke(capsys, "cover", "n=" + "9" * 5000 + ":{1}")
+    assert code == 1
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"modulus": 10**12, "elements": [1, 2]}))
+    code, _, err = invoke(capsys, "sumset", "--file", str(path))
+    assert code == 1 and "exceeds the cap" in err
+    assert time.monotonic() - started < 1.0
+    # the cap itself is accepted
+    code, out, _ = invoke(capsys, "sumset", "n=4194304:{1,2}")
+    assert (code, out.strip()) == (0, "{2,3,4}")
+
+
 def test_cover_json_round_trip(capsys):
     code, out, _ = invoke(capsys, "cover", "n=11:{0,1,3,6}", "--json")
     assert code == 0

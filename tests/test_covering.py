@@ -134,6 +134,12 @@ def test_general_modulus_matches_brute(rng):
         assert min_ap_length_mod(bits.mask_of(els, m), m) == _brute_mod(els, m)
 
 
+def test_general_modulus_exhaustive_small():
+    for m in (4, 6, 8, 9, 10):
+        for mask in range(1, 1 << m):
+            assert min_ap_length_mod(mask, m) == _brute_mod(bits.elements_of(mask), m)
+
+
 # --- verdicts ----------------------------------------------------------------
 
 def test_main_verdict_positive_instance():

@@ -110,13 +110,27 @@ def test_sumset_convolution_agrees_with_shift_or(rng):
 
 
 def test_sumset_convolution_large_modulus(rng):
-    # above the cutoff the auto path runs the NTT convolution
     n = (1 << 16) + 7
     els = rng.sample(range(n), 50)
     mask = bits.mask_of(els, n)
-    auto = sumset_mask(mask, n, "auto")
-    assert auto == sumset_mask(mask, n, "shift_or")
-    assert set(bits.elements_of(auto)) == naive_sumset(els, n)
+    conv = sumset_mask(mask, n, "convolution")
+    assert conv == sumset_mask(mask, n, "auto") == sumset_mask(mask, n, "shift_or")
+    assert set(bits.elements_of(conv)) == naive_sumset(els, n)
+
+
+def test_sumset_auto_dispatches_on_size(rng, monkeypatch):
+    from addcomb import ntt, residues
+
+    calls = []
+    real = ntt.convolve
+    monkeypatch.setattr(ntt, "convolve", lambda f, g: calls.append(1) or real(f, g))
+    n = (1 << 16) + 1
+    small = bits.mask_of(rng.sample(range(n), 1000), n)
+    sumset_mask(small, n)
+    assert calls == []  # a large modulus alone no longer picks the NTT
+    big = bits.mask_of(rng.sample(range(n), residues.CONVOLUTION_MIN_SIZE + 1), n)
+    assert sumset_mask(big, n) == sumset_mask(big, n, "shift_or")
+    assert calls == [1]
 
 
 # --- dilate / translate / negate ---------------------------------------------

@@ -1,0 +1,197 @@
+"""The per-dilation gap kernel and the sweeps built on it: covers, the AP
+test, the half-interval fit, the half-window search and its memory bound,
+checked against brute-force oracles and their tie-breaks."""
+
+import tracemalloc
+
+import numpy as np
+
+from addcomb import bits
+from addcomb.covering import is_arithmetic_progression, min_ap_cover
+from addcomb.freiman import _half_interval_dilation
+from addcomb.primes import primes_upto
+from addcomb.residues import CHUNK_ELEMENTS, ResidueSet, dilation_gaps
+from addcomb.spectral import best_half_window
+from conftest import brute_min_cover, brute_window_max
+
+
+def rs(n, els):
+    return ResidueSet.from_elements(n, els)
+
+
+def brute_cover_witness(els, p):
+    """Least (length, step, start) over every AP with step <= (p-1)/2 that
+    covers els, by walking each (step, start)."""
+    target = set(els)
+    best = None
+    for step in range(1, max((p - 1) // 2, 1) + 1):
+        for start in range(p):
+            covered = set()
+            for length in range(1, p + 1):
+                covered.add((start + (length - 1) * step) % p)
+                if target <= covered:
+                    break
+            if best is None or (length, step, start) < best:
+                best = (length, step, start)
+    return best
+
+
+def brute_gap(els, n, m):
+    """Longest circular run missing from m*els, and the member after the
+    first such run in ascending order."""
+    row = sorted(x * m % n for x in els)
+    gaps = [(e - prev - 1) % n for prev, e in zip(row[-1:] + row[:-1], row)]
+    top = max(gaps)
+    return top, row[gaps.index(top)]
+
+
+def test_dilation_gaps_match_brute_rows(rng):
+    for _ in range(200):
+        n = rng.randrange(2, 60)
+        els = rng.sample(range(n), rng.randrange(1, n + 1))
+        ms = [m for m in range(1, n) if np.gcd(m, n) == 1]
+        got = []
+        for chunk, gaps, ends in dilation_gaps(els, n, ms):
+            got += list(zip(chunk.tolist(), gaps.tolist(), ends.tolist()))
+        assert got == [(m, *brute_gap(els, n, m)) for m in ms]
+
+
+def test_dilation_gaps_chunking_keeps_row_order():
+    # more rows than one chunk holds: every row is still seen, in order
+    p = 4001
+    els = list(range(0, 4000, 3))
+    rows = CHUNK_ELEMENTS // len(els)
+    ms = np.arange(1, 3 * rows + 2)
+    seen = np.concatenate([c for c, _, _ in dilation_gaps(els, p, ms)])
+    assert seen.tolist() == ms.tolist()
+    chunks = list(dilation_gaps(els, p, ms))
+    assert len(chunks) == 4 and all(len(c) <= rows for c, _, _ in chunks)
+    last = chunks[-1]
+    assert (last[1][-1], last[2][-1]) == brute_gap(els, p, int(ms[-1]))
+
+
+def test_sweeps_exhaustive_tiny_primes():
+    for p in (2, 3, 5, 7):
+        for mask in range(1, 1 << p):
+            els = bits.elements_of(mask)
+            a = ResidueSet(p, mask)
+            res = min_ap_cover(a)
+            assert res.length == brute_min_cover(els, p)
+            want = brute_cover_witness(els, p)
+            assert (res.length, res.witness.step, res.witness.start) == want
+            assert is_arithmetic_progression(a) == (res.length == len(els))
+            w = best_half_window(a)
+            assert (len(w), w.d, w.u) == brute_window_max(els, p)
+
+
+def test_sweeps_extreme_sizes_up_to_199(rng):
+    primes = [p for p in primes_upto(100) if p >= 11]
+    for p in (rng.choice(primes), 199):
+        for k in (1, 2, p - 1, p):
+            els = rng.sample(range(p), k)
+            a = rs(p, els)
+            res = min_ap_cover(a)
+            assert res.length == brute_min_cover(els, p) == k
+            assert res.witness.covers(els)
+            assert is_arithmetic_progression(a)
+            w = best_half_window(a)
+            assert (len(w), w.d, w.u) == brute_window_max(els, p)
+
+
+def test_cover_tie_breaks_smallest_step_then_start(rng):
+    for _ in range(150):
+        p = rng.choice([11, 13, 17])
+        els = rng.sample(range(p), rng.randrange(1, p + 1))
+        res = min_ap_cover(rs(p, els))
+        want = brute_cover_witness(els, p)
+        assert (res.length, res.witness.step, res.witness.start) == want
+
+
+def test_cover_step_whose_inverse_lies_above_half():
+    # the step-2 progression {0, 2, 4, 6}: the sweep meets it on the row
+    # m = (p-1)/2 = -1/2, the mirror of 1/2 = (p+1)/2 > p/2
+    res = min_ap_cover(rs(11, [0, 2, 4, 6]))
+    assert (res.length, res.witness.step, res.witness.start) == (4, 2, 0)
+    # two longest gaps of equal length in the winning row: smallest start
+    res = min_ap_cover(rs(13, [1, 2, 7, 8]))
+    assert (res.length, res.witness.step, res.witness.start) == (
+        brute_cover_witness([1, 2, 7, 8], 13)
+    )
+
+
+def test_window_tie_break_smallest_d_then_u(rng):
+    for _ in range(40):
+        p = rng.choice([17, 19, 23])
+        els = rng.sample(range(p), rng.randrange(1, p + 1))
+        w = best_half_window(rs(p, els))
+        assert (len(w), w.d, w.u) == brute_window_max(els, p)
+        assert w.d <= (p - 1) // 2
+
+
+def test_window_tie_across_chunks(rng):
+    # A is a union of cosets of {1, h, -1, -h} (h^2 = -1), so d and d*h
+    # capture alike and the maximising d fall in different chunks of rows
+    p = 4001
+    h = next(x for x in range(2, p) if x * x % p == p - 1)
+    seeds = rng.sample(range(1, p), 400)
+    els = np.array(sorted({s * g % p for s in seeds for g in (1, h, p - 1, p - h)}))
+    w = (p + 1) // 2
+    best = []
+    for d in range(1, p):
+        ind = np.zeros(p, dtype=np.int64)
+        ind[els * d % p] = 1
+        cs = np.concatenate([[0], np.cumsum(np.concatenate([ind, ind[: w - 1]]))])
+        counts = cs[w:] - cs[:p]
+        best.append((-int(counts.max()), d, int(counts.argmax())))
+    top, d, u = min(best)
+    rows = CHUNK_ELEMENTS // len(els)
+    assert any(c == top and rows < e <= p // 2 for c, e, _ in best)
+    win = best_half_window(rs(p, els.tolist()))
+    assert (len(win), win.d, win.u) == (-top, d, u)
+
+
+def test_is_arithmetic_progression_random_aps(rng):
+    for _ in range(100):
+        p = rng.choice(primes_upto(400)[2:])
+        k = rng.randrange(2, p - 1)
+        start, step = rng.randrange(p), rng.randrange(1, p)
+        ap = [(start + i * step) % p for i in range(k)]
+        assert is_arithmetic_progression(rs(p, ap))
+        # move one end point off the progression
+        broken = ap[:-1] + [(start + (k + rng.randrange(1, p - k)) * step) % p]
+        assert is_arithmetic_progression(rs(p, broken)) == (
+            min_ap_cover(rs(p, broken)).length == k
+        )
+
+
+def test_half_interval_dilation_composite(rng):
+    for _ in range(100):
+        n = rng.randrange(2, 40)
+        els = rng.sample(range(n), rng.randrange(1, n + 1))
+        found = _half_interval_dilation(rs(n, els))
+        w = (n + 1) // 2
+        fits = [
+            (d, u)
+            for d in range(1, n)
+            if np.gcd(d, n) == 1
+            for u in range(n)
+            if {x * d % n for x in els} <= {(u + i) % n for i in range(w)}
+        ]
+        if not fits:
+            assert found is None
+        else:
+            d = fits[0][0]
+            assert found[0] == d
+            assert {x * d % n for x in els} <= {(found[1] + i) % n for i in range(w)}
+
+
+def test_best_half_window_memory_is_bounded():
+    p = 4001
+    a = rs(p, range(0, 4000, 2))
+    tracemalloc.start()
+    try:
+        best_half_window(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
