@@ -19,7 +19,7 @@ from .covering import (
     vosper_verdict,
 )
 from .engine import prove_cover
-from .errors import AddcombError
+from .errors import AddcombError, LiteralError
 from .freiman import (
     additive_dimension,
     is_freiman_isomorphic,
@@ -42,14 +42,22 @@ FINDINGS_EXIT = 2
 
 def _load_set_argument(args, parser) -> ResidueSet | IntSet:
     if getattr(args, "file", None):
-        with open(args.file) as fh:
-            data = json.load(fh)
+        try:
+            with open(args.file) as fh:
+                data = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise LiteralError(f"cannot read --file: {exc}") from None
         if isinstance(data, list):
+            _require_integers(data)
             if len(set(data)) != len(data):
                 parser.error("duplicate elements in --file input")
             return IntSet.from_iterable(data)
         if isinstance(data, dict) and "modulus" in data and "elements" in data:
-            n, els = check_modulus(data["modulus"]), data["elements"]
+            n, els = data["modulus"], data["elements"]
+            if not isinstance(els, list):
+                raise LiteralError("--file elements must be a JSON array")
+            _require_integers([n, *els])
+            n = check_modulus(n)
             if len({e % n for e in els}) != len(els):
                 parser.error("duplicate elements mod n in --file input")
             return ResidueSet.from_elements(n, els)
@@ -57,6 +65,12 @@ def _load_set_argument(args, parser) -> ResidueSet | IntSet:
     if args.set is None:
         parser.error("a set literal (or --file) is required")
     return parse_any(args.set)
+
+
+def _require_integers(values) -> None:
+    for v in values:
+        if not isinstance(v, int):
+            raise LiteralError(f"--file holds a non-integer {v!r}")
 
 
 def _emit(args, payload: dict, human_lines: list[str]) -> None:

@@ -1,12 +1,13 @@
 """Freiman isomorphism, additive dimension, rectification and the
 two-progressions structure of 2-dimensional sets.
 
-Everything rests on the relation system of a set: for each unordered pair of
-element pairs, either a + b = c + e holds in the ambient group (a *required*
-relation any sum-preserving map must keep) or it fails (a *forbidden* one no
-such map may create).  Required relations, read as integer row vectors over
-the unknown images, pin down every F2-invariant of the set; all verdicts here
-are exact rational linear algebra on those rows.
+Everything rests on the sum classes of a set: its index pairs grouped by
+pair sum in the ambient group.  Two pairs in one class give a *required*
+relation a + b = c + e any sum-preserving map must keep; pairs in different
+classes give a *forbidden* one no such map may create.  Chaining each class
+yields O(k^2) integer rows spanning every required relation; their exact
+rational nullspace holds all the sum-preserving images, so every verdict
+here is exact linear algebra on those rows.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -24,13 +26,13 @@ from .errors import (
     NotFullDimensionalError,
     NotRectifiableError,
     PreconditionFailedError,
+    SearchRangeError,
     UndefinedDimensionError,
 )
 from .intsets import ApDescriptor, IntSet, normal_form, sumset as int_sumset
 from .residues import ResidueSet, dilation_gaps, half_units
 
 Pair = tuple[int, int]
-Quadruple = tuple[Pair, Pair]
 
 
 def _ground(obj) -> tuple[list, int | None]:
@@ -65,39 +67,19 @@ def _pair_row(p: Pair, q: Pair, k: int) -> list[int]:
     return row
 
 
-@dataclass(frozen=True)
-class RelationSystem:
-    """All canonical quadruples of a ground set, split by whether the pair
-    sums agree.  Canonical form: a <= b, c <= e, (a,b) < (c,e) by ground
-    order, so required and forbidden partition the quadruples exactly."""
-
-    elements: tuple
-    modulus: int | None
-    required: tuple[Quadruple, ...]
-    forbidden: tuple[Quadruple, ...]
-
-    def required_rows(self) -> list[list[int]]:
-        k = len(self.elements)
-        return [_pair_row(p, q, k) for p, q in self.required]
-
-    def forbidden_rows(self) -> list[list[int]]:
-        k = len(self.elements)
-        return [_pair_row(p, q, k) for p, q in self.forbidden]
+def _sum_classes(elems: list, modulus: int | None) -> list[list[Pair]]:
+    """Index pairs i <= j grouped by the sum elems[i] + elems[j], in order of
+    first appearance."""
+    by_sum: dict = {}
+    for p in _pairs(len(elems)):
+        by_sum.setdefault(_add(elems[p[0]], elems[p[1]], modulus), []).append(p)
+    return list(by_sum.values())
 
 
-def relation_system(obj) -> RelationSystem:
-    """Full O(k^4) quadruple classification; meant for |ground| <= 64."""
-    elems, mod = _ground(obj)
-    k = len(elems)
-    pairs = _pairs(k)
-    sums = {p: _add(elems[p[0]], elems[p[1]], mod) for p in pairs}
-    required, forbidden = [], []
-    for a, b in itertools.combinations(pairs, 2):
-        if sums[a] == sums[b]:
-            required.append((a, b))
-        else:
-            forbidden.append((a, b))
-    return RelationSystem(tuple(elems), mod, tuple(required), tuple(forbidden))
+def _chain_rows(classes: list[list[Pair]], k: int) -> list[list[int]]:
+    return [
+        _pair_row(p, q, k) for group in classes for p, q in zip(group, group[1:])
+    ]
 
 
 def required_spanning_rows(obj) -> list[list[int]]:
@@ -108,34 +90,24 @@ def required_spanning_rows(obj) -> list[list[int]]:
     the chain spans the class.
     """
     elems, mod = _ground(obj)
-    k = len(elems)
-    by_sum: dict = {}
-    for p in _pairs(k):
-        by_sum.setdefault(_add(elems[p[0]], elems[p[1]], mod), []).append(p)
-    rows = []
-    for group in by_sum.values():
-        for p, q in zip(group, group[1:]):
-            rows.append(_pair_row(p, q, k))
-    return rows
+    return _chain_rows(_sum_classes(elems, mod), len(elems))
 
 
 def _certified_nullspace(rows: list[list[int]], k: int) -> list[tuple[int, ...]]:
-    """Exact integer basis of the nullspace of required-relation rows,
-    efficient at any ground size.
+    """Exact integer basis of the nullspace of required-relation rows: the
+    standard free-variable basis of the row space's RREF, denominators
+    cleared.  The RREF of a row space is unique, so any spanning rows give
+    the same basis.
 
-    Large systems: a mod-q elimination picks candidate independent rows
-    (independence mod q certifies independence over Q); their rational
-    nullspace is computed exactly and every remaining row is checked to be
-    orthogonal to it, which certifies it spans the full row space.  Any
-    violator joins the selection and the loop repeats (rare).
+    A mod-q elimination picks candidate independent rows (independence mod q
+    certifies independence over Q); their rational nullspace is computed
+    exactly and every remaining row is checked to be orthogonal to it, which
+    certifies it spans the full row space.  Any violator joins the selection
+    and the loop repeats (rare).
     """
     if not rows:
         return [
             tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
-        ]
-    if k <= 45 and len(rows) <= 4 * k:
-        return [
-            linalg.clear_denominators(v) for v in linalg.nullspace_basis(rows, k)
         ]
     _, selected = linalg.rank_mod_prime(rows, k)
     while True:
@@ -211,11 +183,7 @@ def _dim1_by_propagation(elems: list) -> bool:
     k = len(elems)
     if k == 2:
         return True
-    by_sum: dict = {}
-    for i in range(k):
-        for j in range(i, k):
-            by_sum.setdefault(elems[i] + elems[j], []).append((i, j))
-    classes = [grp for grp in by_sum.values()]
+    classes = _sum_classes(elems, None)
     f: list = [None] * k
     f[0], f[1] = 0, 1
     known = 2
@@ -354,24 +322,40 @@ def _half_interval_dilation(a: ResidueSet) -> tuple[int, int] | None:
     return None
 
 
+def _separating_nullspace(elems: list, modulus: int | None):
+    """(basis, reps): the certified integer nullspace of the required rows
+    and one index pair per sum class, or None if the set is not rectifiable.
+
+    The pairs of one class agree on every nullspace point, so a point is
+    sum-faithful iff it takes pairwise distinct values on reps, and such a
+    point exists iff the classes' value vectors over the basis are pairwise
+    distinct.
+    """
+    classes = _sum_classes(elems, modulus)
+    basis = _certified_nullspace(_chain_rows(classes, len(elems)), len(elems))
+    reps = [group[0] for group in classes]
+    vectors = {tuple(b[i] + b[j] for b in basis) for i, j in reps}
+    return (basis, reps) if len(vectors) == len(reps) else None
+
+
 def is_rectifiable(a: ResidueSet) -> bool:
     """Can a be mapped sum-faithfully into Z?
 
     Fast path: a unit dilate inside a half interval rectifies immediately.
-    In general a is rectifiable iff no forbidden functional lies in the
-    rational row space of the required relations: required rows constrain
-    every candidate image, and a generic nullspace point avoids each
-    forbidden hyperplane unless it is forced to zero.
+    In general a is rectifiable iff no two sum classes take the same value
+    on every point of the required nullspace.
     """
     if len(a) <= 1:
         return True
     if _half_interval_dilation(a) is not None:
         return True
-    system = relation_system(a)
-    echelon = linalg.echelon_int_rows(system.required_rows(), len(a))
-    return not any(
-        linalg.in_row_space(row, echelon) for row in system.forbidden_rows()
-    )
+    return _separating_nullspace(a.elements(), a.modulus) is not None
+
+
+# Coefficient vectors rectify_map may enumerate before it gives up.  The
+# search grows like (2R + 1)^(dim + 1) in the radius R it needs; 2^18
+# vectors take about 1.5 s at |A| = 6 on CPython 3.11 (2-core x86-64).
+RECTIFY_CANDIDATE_BUDGET = 1 << 18
 
 
 def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
@@ -379,8 +363,9 @@ def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
 
     Deterministic: integer coefficient vectors over the required-nullspace
     basis are enumerated in increasing max-norm (then lexicographically)
-    until one avoids every forbidden functional.  Termination is guaranteed
-    because each forbidden functional vanishes only on a proper subspace.
+    until one separates the sum classes, which exists when a is rectifiable
+    because each pair of distinct class vectors agrees only on a proper
+    subspace.  Past RECTIFY_CANDIDATE_BUDGET vectors the search gives up.
     """
     elems = a.elements()
     k = len(elems)
@@ -388,28 +373,31 @@ def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
         return {}
     if k == 1:
         return {elems[0]: 0}
-    system = relation_system(a)
-    rows = system.required_rows()
-    echelon = linalg.echelon_int_rows(rows, k)
-    forbidden = system.forbidden_rows()
-    if any(linalg.in_row_space(row, echelon) for row in forbidden):
+    space = _separating_nullspace(elems, a.modulus)
+    if space is None:
         raise NotRectifiableError(f"{a.literal()} admits no integer embedding")
-    basis = [linalg.clear_denominators(v) for v in linalg.nullspace_basis(rows, k)]
-    r = len(basis)
+    basis, reps = space
+    columns = list(zip(*basis))
+    enumerated = 0
     for radius in itertools.count(1):
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=r):
-            if max(abs(c) for c in coeffs) != radius:
+        for coeffs in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
+            enumerated += 1
+            if enumerated > RECTIFY_CANDIDATE_BUDGET:
+                raise SearchRangeError(
+                    f"rectifying {a.literal()} takes more than "
+                    f"{RECTIFY_CANDIDATE_BUDGET} coefficient vectors"
+                )
+            if max(map(abs, coeffs)) != radius:
                 continue
-            f = [sum(c * bv[i] for c, bv in zip(coeffs, basis)) for i in range(k)]
-            if all(
-                sum(fr * fv for fr, fv in zip(row, f)) != 0 for row in forbidden
+            f = [sum(map(mul, coeffs, col)) for col in columns]
+            if len({f[i] + f[j] for i, j in reps}) < len(reps):
+                continue
+            image = dict(zip(elems, f))
+            if verify and not is_freiman_isomorphic(
+                a, IntSet.from_iterable(image.values())
             ):
-                image = {elems[i]: f[i] for i in range(k)}
-                if verify and not is_freiman_isomorphic(
-                    a, IntSet.from_iterable(image.values())
-                ):
-                    raise ConsistencyError("rectify produced a non-isomorphic image")
-                return image
+                raise ConsistencyError("rectify produced a non-isomorphic image")
+            return image
 
 
 def rectify(a: ResidueSet, verify: bool = True) -> IntSet:
@@ -516,24 +504,22 @@ def _embedding_candidates(a: IntSet):
     k = len(a)
     rows = required_spanning_rows(a)
     basis = _certified_nullspace(rows, k)
-    # project out the constant direction, keep two independent vectors
-    normalized = []
+    # project out the constant direction, keep the first two independent
+    # vectors: w is independent of u iff a 2x2 minor on a pivot of u is nonzero
+    picked: list[tuple[int, ...]] = []
     for v in basis:
         w = tuple(x - v[0] for x in v)
-        if any(w):
-            normalized.append(w)
-    picked: list[tuple[Fraction, ...]] = []
-    for w in normalized:
-        trial = picked + [w]
-        mat = [list(linalg.clear_denominators(vec)) for vec in trial]
-        if linalg.rank_int_rows(mat, k) == len(trial):
+        if not picked and any(w):
             picked.append(w)
-        if len(picked) == 2:
-            break
+        elif picked:
+            u = picked[0]
+            i = next(i for i, x in enumerate(u) if x)
+            if any(u[i] * y - x * w[i] for x, y in zip(u, w)):
+                picked.append(w)
+                break
     if len(picked) < 2:
         raise ConsistencyError("2-dimensional set without a planar embedding")
-    vx = linalg.clear_denominators(picked[0])
-    vy = linalg.clear_denominators(picked[1])
+    vx, vy = picked
     pts = [(vx[i], vy[i]) for i in range(k)]
     dirs = set()
     for (x1, y1), (x2, y2) in itertools.combinations(pts, 2):

@@ -17,17 +17,16 @@ _BAREISS_MAX_COLS = 45
 
 
 def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
+    """Exact rank of integer rows with entries in -2..2 and at most 45
+    columns, the bounds that keep Bareiss exact in int64."""
     if not rows:
         return 0
-    if ncols <= _BAREISS_MAX_COLS and all(
-        abs(v) <= 2 for row in rows for v in row
-    ):
-        return _rank_bareiss_numpy(rows, ncols)
-    return len(echelon_int_rows(rows, ncols))
-
-
-def _rank_bareiss_numpy(rows: list[list[int]], ncols: int) -> int:
     m = np.array(rows, dtype=np.int64)
+    if ncols > _BAREISS_MAX_COLS or np.abs(m).max() > 2:
+        raise ValueError(
+            f"rank_int_rows needs at most {_BAREISS_MAX_COLS} columns and "
+            "entries in -2..2"
+        )
     nrows = m.shape[0]
     rank = 0
     prev = 1
@@ -83,25 +82,6 @@ def rank_mod_prime(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
         if rank == nrows:
             break
     return rank, chosen
-
-
-def echelon_int_rows(rows: list[list[int]], ncols: int) -> list[list[int]]:
-    """Integer row echelon basis of the row space (pure Python, any size).
-
-    Rows are gcd-reduced after each insertion to keep entries small.  The
-    returned rows have strictly increasing pivot columns.
-    """
-    basis: list[list[int]] = []  # kept sorted by pivot column
-    for row in rows:
-        r = _reduce_against(row, basis)
-        if any(r):
-            _insert_sorted(basis, _primitive(r))
-    return basis
-
-
-def in_row_space(vec: list[int], echelon: list[list[int]]) -> bool:
-    r = _reduce_against(vec, echelon)
-    return not any(r)
 
 
 def _pivot(row: list[int]) -> int:

@@ -24,7 +24,12 @@ def _parse_body(body: str) -> list[int]:
     for piece in body.split(","):
         if not re.fullmatch(r"-?\d+", piece):
             raise LiteralError(f"bad element {piece!r}")
-        out.append(int(piece))
+        try:
+            out.append(int(piece))
+        except ValueError:  # past the interpreter's int-conversion digit cap
+            raise LiteralError(
+                f"element of {len(piece)} characters is too long"
+            ) from None
     return out
 
 

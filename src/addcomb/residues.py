@@ -29,7 +29,7 @@ from .primes import divisors, is_prime
 # exact, and a set's bitmask at 512 KiB.
 MAX_MODULUS = 1 << 22
 
-# sumset_mask("auto") runs the NTT above this many members.  Shift-OR costs
+# sumset_mask runs the NTT above this many members.  Shift-OR costs
 # ~1.3e-10 s per |A| * n, the NTT ~3 us per point of a 2n-4n transform, so the
 # crossover is on |A| alone: measured at 26k-60k for 65,537 <= n <= 2^22.
 CONVOLUTION_MIN_SIZE = 1 << 15
@@ -115,22 +115,17 @@ def _sumset_mask_convolution(mask: int, n: int) -> int:
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
-def sumset_mask(mask: int, n: int, method: str = "auto") -> int:
-    if method == "auto":
-        big = mask.bit_count() > CONVOLUTION_MIN_SIZE
-        method = "convolution" if big else "shift_or"
-    if method == "shift_or":
-        return cross_sum_mask(mask, mask, n)
-    if method == "convolution":
+def sumset_mask(mask: int, n: int) -> int:
+    if mask.bit_count() > CONVOLUTION_MIN_SIZE:
         return _sumset_mask_convolution(mask, n)
-    raise ValueError(f"unknown sumset method {method!r}")
+    return cross_sum_mask(mask, mask, n)
 
 
-def sumset(a: ResidueSet, method: str = "auto") -> ResidueSet:
+def sumset(a: ResidueSet) -> ResidueSet:
     """A + A = {x + y mod n : x, y in A}, x = y allowed."""
     if len(a) == 0:
         raise EmptySetError("sumset of the empty set")
-    return ResidueSet(a.modulus, sumset_mask(a.mask, a.modulus, method))
+    return ResidueSet(a.modulus, sumset_mask(a.mask, a.modulus))
 
 
 def dilate(a: ResidueSet, d: int) -> ResidueSet:

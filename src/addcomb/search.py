@@ -107,19 +107,12 @@ def enumerate_canonical(
         if 1 <= cap:
             yield a
         return
-    yield from _canonical_dfs(p, k, cap, prefix_elements=(0, 1))
-
-
-def _canonical_dfs(
-    p: int, k: int, cap: int, prefix_elements: tuple[int, ...]
-) -> Iterator[ResidueSet]:
-    mask = bits.mask_of(prefix_elements, p)
-    summask = 0
-    for e in prefix_elements:
-        summask |= bits.rotate(mask, e, p)
-    if summask.bit_count() > cap:
-        return
-    yield from _extend(p, k, cap, mask, summask, prefix_elements[-1])
+    # the lex-least member of every class starts 0, 1: an affine map sends
+    # any two elements there
+    mask = bits.mask_of((0, 1), p)
+    summask = mask | bits.rotate(mask, 1, p)
+    if summask.bit_count() <= cap:
+        yield from _extend(p, k, cap, mask, summask, 1)
 
 
 def _extend(
@@ -183,9 +176,8 @@ def _invariant_subset_count(cycles: list[int], k: int) -> int:
     return dp[k]
 
 
-def _hunt_one_prime(args: tuple[int, int | None]) -> tuple[int, int, list[dict]]:
-    """(p, k_limit) -> (p, classes_examined, counterexamples)."""
-    p, _ = args
+def _hunt_one_prime(p: int) -> tuple[int, int, list[dict]]:
+    """p -> (p, classes_examined, counterexamples)."""
     examined = 0
     bad: list[dict] = []
     # For 2k - 1 >= p Cauchy-Davenport forces |2A| = p, which silences both
@@ -230,8 +222,7 @@ def hunt_conjecture(
         notes.append(
             f"runtime warning: primes above {HUNT_DEFAULT_MAX_P} can take long"
         )
-    work = [(p, None) for p in sorted(p_list)]
-    results = _run_tasks(_hunt_one_prime, work, threads)
+    results = _run_tasks(_hunt_one_prime, sorted(p_list), threads)
     examined = sum(r[1] for r in results)
     bad = [item for r in results for item in r[2]]
     report = SearchReport(

@@ -68,3 +68,41 @@ def rng():
     import random
 
     return random.Random(0x5EED)
+
+
+def brute_rectifiable(elements, n):
+    """The quadruple criterion: a subset of Z_n embeds sum-faithfully in Z
+    iff no forbidden relation row (two pairs with different sums) lies in
+    the rational span of the required ones (two pairs with equal sums).
+    Every quadruple is listed; the span is an exact Fraction echelon form."""
+    from fractions import Fraction
+
+    k = len(elements)
+    pairs = [(i, j) for i in range(k) for j in range(i, k)]
+    required, forbidden = [], []
+    for x, (a, b) in enumerate(pairs):
+        for c, d in pairs[x + 1 :]:
+            row = [0] * k
+            row[a] += 1
+            row[b] += 1
+            row[c] -= 1
+            row[d] -= 1
+            same = (elements[a] + elements[b] - elements[c] - elements[d]) % n == 0
+            (required if same else forbidden).append(row)
+
+    echelon = []  # (pivot column, row scaled to 1 at the pivot)
+
+    def reduce(row):
+        row = [Fraction(v) for v in row]
+        for col, base in echelon:
+            if row[col]:
+                factor = row[col]
+                row = [v - factor * w for v, w in zip(row, base)]
+        return row
+
+    for row in required:
+        row = reduce(row)
+        col = next((i for i, v in enumerate(row) if v), None)
+        if col is not None:
+            echelon.append((col, [v / row[col] for v in row]))
+    return not any(not any(reduce(row)) for row in forbidden)

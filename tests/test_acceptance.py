@@ -26,7 +26,7 @@ from addcomb.freiman import (
     two_lines_cover,
 )
 from addcomb.intsets import ApDescriptor, IntSet, sumset as int_sumset
-from addcomb.residues import ResidueSet, sumset, sumset_mask
+from addcomb.residues import ResidueSet, cross_sum_mask, sumset
 from addcomb.search import (
     affine_orbit_count,
     build_family,
@@ -235,7 +235,8 @@ def test_c08_oracle_equivalences():
         k = rng.randrange(1, min(n, 48) + 1)
         els = rng.sample(range(n), k)
         naive = {(x + y) % n for x in els for y in els}
-        fast = sumset_mask(bits.mask_of(els, n), n, "shift_or")
+        mask = bits.mask_of(els, n)
+        fast = cross_sum_mask(mask, mask, n)
         assert set(bits.elements_of(fast)) == naive
 
     # minimal cover vs progression-walking oracle: exhaustive then random

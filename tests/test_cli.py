@@ -162,3 +162,47 @@ def test_version(capsys):
     assert exc.value.code == 0
     out = capsys.readouterr().out
     assert "addcomb" in out and "schema" in out
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"modulus": "11", "elements": [1, 2]}',
+        '{"modulus": 11, "elements": [1.5, 2]}',
+        '{"modulus": 11, "elements": "12"}',
+        '{"modulus": 11, "elements": [null, 2]}',
+        "not json",
+    ],
+    ids=[
+        "string-modulus", "float-element", "string-elements", "null-element",
+        "not-json",
+    ],
+)
+def test_malformed_file_exits_1(tmp_path, capsys, content):
+    path = tmp_path / "set.json"
+    path.write_text(content)
+    code, _, err = invoke(capsys, "cover", "--file", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_missing_file_exits_1(tmp_path, capsys):
+    code, _, err = invoke(capsys, "cover", "--file", str(tmp_path / "absent.json"))
+    assert code == 1
+    assert err.startswith("error: cannot read --file")
+
+
+def test_overlong_literal_element_exits_1(capsys):
+    code, _, err = invoke(capsys, "sumset", "n=11:{" + "1" * 4400 + "}")
+    assert code == 1
+    assert err.startswith("error: ") and "too long" in err
+
+
+def test_rectify_over_budget_exits_1_quickly(capsys):
+    import time
+
+    started = time.monotonic()
+    code, out, err = invoke(capsys, "rectify", "n=10007:{0,1,3,7,12,20}")
+    assert time.monotonic() - started < 5.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "coefficient vectors" in err

@@ -1,5 +1,6 @@
+import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +23,12 @@ from addcomb.freiman import (
     projected_dimension_witness,
     rectify,
     rectify_map,
-    relation_system,
     required_spanning_rows,
     two_lines_cover,
 )
 from addcomb.intsets import IntSet, normal_form, sumset
 from addcomb.residues import ResidueSet
+from conftest import brute_rectifiable
 
 small_int_sets = st.sets(st.integers(0, 40), min_size=2, max_size=8).map(
     IntSet.from_iterable
@@ -40,11 +41,37 @@ def rs(n, els):
 
 # --- relation systems ---------------------------------------------------------
 
-def test_relation_system_partitions_quadruples():
-    sys = relation_system(IntSet.of(0, 1, 2, 3))
-    k = 4
-    pairs = k * (k + 1) // 2
-    assert len(sys.required) + len(sys.forbidden) == pairs * (pairs - 1) // 2
+# every subset of Z_n up to this n, then seeded random sets up to n = 23
+ORACLE_ALL_SUBSETS_MAX_N = 9
+ORACLE_RANDOM_SETS = 300
+
+
+def _rectify_oracle_corpus():
+    for n in range(2, ORACLE_ALL_SUBSETS_MAX_N + 1):
+        for k in range(2, n + 1):
+            for els in combinations(range(n), k):
+                yield n, list(els)
+    rng = random.Random(0xFA17)
+    for _ in range(ORACLE_RANDOM_SETS):
+        n = rng.randrange(ORACLE_ALL_SUBSETS_MAX_N + 1, 24)
+        yield n, sorted(rng.sample(range(n), rng.randrange(2, 8)))
+
+
+def test_rectifiable_matches_quadruple_oracle():
+    rectifiable = 0
+    for n, els in _rectify_oracle_corpus():
+        a = rs(n, els)
+        verdict = is_rectifiable(a)
+        assert verdict == brute_rectifiable(els, n), a.literal()
+        if not verdict:
+            continue
+        rectifiable += 1
+        f = rectify_map(a, verify=False)
+        pairs = list(combinations_with_replacement(els, 2))
+        for (x, y), (u, v) in combinations(pairs, 2):
+            equal_mod_n = (x + y - u - v) % n == 0
+            assert equal_mod_n == (f[x] + f[y] == f[u] + f[v]), a.literal()
+    assert 0 < rectifiable
 
 
 def test_required_nullspace_contains_constant_and_identity():

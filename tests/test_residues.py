@@ -14,9 +14,11 @@ from addcomb.errors import (
 from addcomb.literals import parse_residue_set
 from addcomb.residues import (
     ResidueSet,
+    _sumset_mask_convolution,
     affine_canonical_form,
     coset_profile,
     coset_progression_report,
+    cross_sum_mask,
     dilate,
     is_affine_canonical,
     negate,
@@ -106,15 +108,15 @@ def test_sumset_convolution_agrees_with_shift_or(rng):
         k = rng.randrange(1, min(n, 40) + 1)
         els = rng.sample(range(n), k)
         mask = bits.mask_of(els, n)
-        assert sumset_mask(mask, n, "shift_or") == sumset_mask(mask, n, "convolution")
+        assert cross_sum_mask(mask, mask, n) == _sumset_mask_convolution(mask, n)
 
 
 def test_sumset_convolution_large_modulus(rng):
     n = (1 << 16) + 7
     els = rng.sample(range(n), 50)
     mask = bits.mask_of(els, n)
-    conv = sumset_mask(mask, n, "convolution")
-    assert conv == sumset_mask(mask, n, "auto") == sumset_mask(mask, n, "shift_or")
+    conv = _sumset_mask_convolution(mask, n)
+    assert conv == sumset_mask(mask, n) == cross_sum_mask(mask, mask, n)
     assert set(bits.elements_of(conv)) == naive_sumset(els, n)
 
 
@@ -129,7 +131,7 @@ def test_sumset_auto_dispatches_on_size(rng, monkeypatch):
     sumset_mask(small, n)
     assert calls == []  # a large modulus alone no longer picks the NTT
     big = bits.mask_of(rng.sample(range(n), residues.CONVOLUTION_MIN_SIZE + 1), n)
-    assert sumset_mask(big, n) == sumset_mask(big, n, "shift_or")
+    assert sumset_mask(big, n) == cross_sum_mask(big, big, n)
     assert calls == [1]
 
 
