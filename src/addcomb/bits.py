@@ -43,11 +43,3 @@ def dilate_mask(mask: int, d: int, n: int) -> int:
         mask ^= low
     return out
 
-
-def lex_less(a: int, b: int) -> bool:
-    """Sorted-element-tuple order: a < b iff the smallest element of the
-    symmetric difference belongs to a."""
-    diff = a ^ b
-    if diff == 0:
-        return False
-    return bool(a & (diff & -diff))

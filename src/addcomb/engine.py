@@ -9,6 +9,17 @@ capture, actual cover lengths) and the trace records both the measurement
 and the classical interval test it replaces.  Any branch whose concrete
 precondition fails falls back to the exact sweep; no input produces a silent
 wrong answer.
+
+In exact mode (p <= 2^14) a query can finish with a cover of its own only on
+the whole-set branch.  The exact window search maximizes the capture over
+every unit dilation (negation maps a half window onto a half window, so the
+dilations d <= (p-1)/2 stand for all of them).  Every map that case 1, 2(ii)
+or 2(iii) tries has the form x -> s*x + t with s a unit, and its image fits
+a half window only if s*A has full capture.  So when the best capture is
+below |A|, each of them fails its window-fit test and the query ends in the
+fallback (or in the case 2(i) diagnostic).  The captured-part branches can
+finish only in Fourier mode, where the window is the top frequency's, not
+the best.
 """
 
 from __future__ import annotations
@@ -204,7 +215,8 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     if not trace.a1_doubling_ok:
         return _fallback(trace, a, two_a, "captured part fails |2A1| <= 3.04|A1| - 7")
 
-    dim = additive_dimension_value(a1_ints)
+    # Freiman's lemma: dim >= 2 forces |2A1| >= 3|A1| - 3
+    dim = 1 if len(two_a1) <= 3 * k1 - 4 else additive_dimension_value(a1_ints)
     trace.dim_a1 = dim
     if dim >= 3:
         # impossible alongside the doubling check by the dimension lower

@@ -19,7 +19,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from . import SCHEMA_VERSION, __version__, bits
+import numpy as np
+
+from . import SCHEMA_VERSION, __version__, bits, residues
 from .covering import (
     COUNTEREXAMPLE,
     conjecture_verdict,
@@ -35,7 +37,7 @@ from .errors import (
 from .freiman import additive_dimension_value, dimension_lower_bound_check
 from .intsets import IntSet, cover_3k4, sumset as int_sumset
 from .primes import is_prime, primes_upto
-from .residues import ResidueSet, is_affine_canonical, sumset, sumset_mask
+from .residues import ResidueSet, affine_canonical_rows, sumset, sumset_mask
 
 ENUMERATION_MAX_P = 64
 HUNT_DEFAULT_MAX_P = 31
@@ -92,7 +94,7 @@ def enumerate_canonical(
     p: int, k: int, doubling_cap: int | None = None
 ) -> Iterator[ResidueSet]:
     """One affine-canonical representative per class of k-subsets of Z_p with
-    |2A| <= doubling_cap (None = no cap), in deterministic order."""
+    |2A| <= doubling_cap (None = no cap), in lexicographic order."""
     if not is_prime(p):
         raise SearchRangeError(f"{p} is not prime")
     if p > ENUMERATION_MAX_P:
@@ -103,34 +105,69 @@ def enumerate_canonical(
     if cap <= 0:
         return
     if k == 1:
-        a = ResidueSet.from_elements(p, [0])
-        if 1 <= cap:
-            yield a
+        yield ResidueSet.from_elements(p, [0])
         return
     # the lex-least member of every class starts 0, 1: an affine map sends
     # any two elements there
     mask = bits.mask_of((0, 1), p)
     summask = mask | bits.rotate(mask, 1, p)
-    if summask.bit_count() <= cap:
-        yield from _extend(p, k, cap, mask, summask, 1)
-
-
-def _extend(
-    p: int, k: int, cap: int, mask: int, summask: int, last: int
-) -> Iterator[ResidueSet]:
-    size = mask.bit_count()
-    if size == k:
-        a = ResidueSet(p, mask)
-        if is_affine_canonical(a):
-            yield a
+    if summask.bit_count() > cap:
         return
-    # need k - size more elements strictly above `last`
-    for e in range(last + 1, p - (k - size) + 1):
-        new_mask = mask | (1 << e)
-        new_sum = summask | bits.rotate(new_mask, e, p)
-        if new_sum.bit_count() > cap:
-            continue
-        yield from _extend(p, k, cap, new_mask, new_sum, e)
+    # p <= ENUMERATION_MAX_P puts every mask in one uint64 word
+    masks = np.array([mask], dtype=np.uint64)
+    sums = np.array([summask], dtype=np.uint64)
+    for leaves in _grow(p, k, cap, 2, masks, sums, np.array([1])):
+        for leaf in leaves[affine_canonical_rows(_element_rows(leaves, k), p)]:
+            yield ResidueSet(p, int(leaf))
+
+
+def _grow(p, k, cap, size, masks, sums, lasts):
+    """Yields, in lexicographic order, uint64 masks of the k-sets that
+    extend the given prefixes by larger elements and keep |2A| <= cap.  The
+    prefixes have `size` members, sumsets `sums` and largest members
+    `lasts`.  Parents are expanded in slices of at most CHUNK_ELEMENTS
+    children, each grown to full size before the next, so memory stays
+    within the depth times a slice."""
+    if size == k:
+        yield masks
+        return
+    # the next element e lies in (last, p - (k - size)], leaving room for
+    # the k - size - 1 after it
+    counts = (p - (k - size) - lasts).clip(0)
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(masks):
+        limit = ends[lo] - counts[lo] + residues.CHUNK_ELEMENTS
+        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
+        children = _children(p, cap, masks[lo:hi], sums[lo:hi], lasts[lo:hi], counts[lo:hi])
+        if len(children[0]):
+            yield from _grow(p, k, cap, size + 1, *children)
+        lo = hi
+
+
+def _children(p, cap, masks, sums, lasts, counts):
+    """Each prefix extended by each of its `counts` next elements in turn,
+    keeping the children whose sumset (the parent's sums plus the child's
+    mask rotated by its new element) has at most cap members."""
+    parent = np.repeat(np.arange(len(masks)), counts)
+    e = lasts[parent] + 1 + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    shift = e.astype(np.uint64)
+    child = masks[parent] | np.uint64(1) << shift
+    rotated = (child << shift | child >> (np.uint64(p) - shift)) & np.uint64(bits.full_mask(p))
+    child_sums = sums[parent] | rotated
+    keep = np.bitwise_count(child_sums) <= cap
+    return child[keep], child_sums[keep], e[keep]
+
+
+def _element_rows(masks: np.ndarray, k: int) -> np.ndarray:
+    """(N, k) sorted members of N uint64 masks of k elements each."""
+    rows = np.empty((len(masks), k), dtype=np.int64)
+    masks = masks.copy()
+    for c in range(k):
+        low = masks & (~masks + np.uint64(1))
+        rows[:, c] = np.bitwise_count(low - np.uint64(1))
+        masks ^= low
+    return rows
 
 
 def count_canonical_classes(p: int, k: int) -> int:

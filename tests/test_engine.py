@@ -2,6 +2,9 @@ import pytest
 
 from addcomb.covering import min_ap_cover
 from addcomb.engine import (
+    BRANCH_CASE1,
+    BRANCH_CASE2_II,
+    BRANCH_CASE2_III,
     BRANCH_FALLBACK,
     BRANCH_WHOLE,
     BRANCHES,
@@ -154,6 +157,43 @@ def test_two_segment_partition_and_tests():
     rest = [55]
     res = two_segment_analysis(p, a1 | bits.mask_of(rest, p), a1, 600, 50, 50)
     assert res.test_ii
+
+
+def test_fourier_mode_case1():
+    # p above the exact-search range: the top Fourier frequency puts the
+    # interval in the window, the five far elements stay out, and case 1's
+    # re-dilation by 2 brings them next to it
+    p = 16411
+    a = rs(p, list(range(1000)) + list(range(8206, 8211)))
+    t = prove_cover(a)
+    assert t.window.mode == "fourier"
+    assert len(t.window) == 1000 < len(a)
+    assert t.branch == BRANCH_CASE1
+    assert t.dim_a1 == 1 and t.dilation_used == 2
+    assert t.result.length == 1999 == t.result.bound
+    assert t.result.witness.covers(a.elements())
+
+
+def test_exact_mode_finishes_only_on_the_whole_set(rng):
+    # In exact mode the window search maximizes capture over every unit
+    # dilation, so a capture below |A| means no map s*x + t fits A in a
+    # half window: case 1, 2(ii) and 2(iii) all fail their window fit.
+    reached_case1 = 0
+    for _ in range(800):
+        p = rng.choice([101, 127, 199, 251, 401])
+        length = rng.randrange(20, p // 4)
+        step = rng.randrange(1, p)
+        els = {i * step % p for i in range(length)}
+        els |= {rng.randrange(p) for _ in range(rng.randrange(1, 3))}
+        t = prove_cover(rs(p, els))
+        assert t.window.mode == "exact"
+        if len(t.window) == len(els):
+            continue
+        assert t.branch not in (BRANCH_CASE1, BRANCH_CASE2_II, BRANCH_CASE2_III)
+        if t.dim_a1 == 1:
+            assert t.annotations["case1_window_fit"] is False
+            reached_case1 += 1
+    assert reached_case1 >= 20
 
 
 def test_trace_json_schema():

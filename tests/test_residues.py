@@ -1,8 +1,10 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb import bits
+from addcomb import bits, residues
 from addcomb.errors import (
     EmptySetError,
     HypothesisNotMetError,
@@ -16,6 +18,7 @@ from addcomb.residues import (
     ResidueSet,
     _sumset_mask_convolution,
     affine_canonical_form,
+    affine_canonical_rows,
     coset_profile,
     coset_progression_report,
     cross_sum_mask,
@@ -214,6 +217,65 @@ def test_canonical_form_matches_brute_oracle(rng):
         els = rng.sample(range(p), k)
         got = affine_canonical_form(rs(p, els)).elements()
         assert tuple(got) == brute_canonical(els, p)
+
+
+def test_canonical_kernel_every_subset_matches_brute_oracle():
+    # every subset of Z_p, p <= 11: the batched pair-map test, the single-set
+    # test and the canonical form all agree with the p(p-1)-map oracle
+    for p in (2, 3, 5, 7, 11):
+        for k in range(p + 1):
+            subsets = list(itertools.combinations(range(p), k))
+            flags = affine_canonical_rows(subsets, p) if k >= 2 else None
+            for i, els in enumerate(subsets):
+                want = brute_canonical(els, p) if k else ()
+                a = rs(p, els)
+                assert tuple(affine_canonical_form(a).elements()) == want, (p, els)
+                assert is_affine_canonical(a) == (els == want), (p, els)
+                if flags is not None:
+                    assert flags[i] == (els == want), (p, els)
+
+
+def test_canonical_kernel_random_sets_match_brute_oracle(rng):
+    for _ in range(200):
+        p = rng.choice([13, 17, 19, 23, 29])
+        k = rng.randrange(1, p + 1)
+        els = tuple(sorted(rng.sample(range(p), k)))
+        want = brute_canonical(els, p)
+        a = rs(p, els)
+        assert tuple(affine_canonical_form(a).elements()) == want
+        assert is_affine_canonical(a) == (els == want)
+        assert is_affine_canonical(rs(p, want))
+
+
+def test_canonical_kernel_small_chunks(monkeypatch, rng):
+    # rows and pair blocks split at every size give the same verdicts
+    p, k = 13, 5
+    rows = [sorted(rng.sample(range(p), k)) for _ in range(40)]
+    rows += [list(brute_canonical(r, p)) for r in rows[:10]]
+    want = affine_canonical_rows(rows, p)
+    assert want.any() and not want.all()
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
+    assert (affine_canonical_rows(rows, p) == want).all()
+    for r in rows:
+        assert tuple(affine_canonical_form(rs(p, r)).elements()) == brute_canonical(r, p)
+
+
+def test_canonical_form_large_prime():
+    # the pair maps work at any prime: {0, 1} u {x} has the (0, 1)-images
+    # {0, 1, x}, {0, 1, 1 - x}, and their inverses under the other pairs
+    p = 1_000_003
+    a = rs(p, [5, 6, 5 + 500_000])
+    want = min(
+        sorted({0, 1, 500_000}),
+        sorted({0, 1, (1 - 500_000) % p}),
+        sorted({0, 1, pow(500_000, -1, p)}),
+        sorted({0, 1, (1 - pow(500_000, -1, p)) % p}),
+        sorted({0, 1, pow(1 - 500_000, -1, p)}),
+        sorted({0, 1, (1 - pow(1 - 500_000, -1, p)) % p}),
+    )
+    assert affine_canonical_form(a).elements() == want
+    assert is_affine_canonical(rs(p, want))
+    assert not is_affine_canonical(a)
 
 
 # --- coset profiles -----------------------------------------------------------

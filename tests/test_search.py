@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from addcomb import residues
 from addcomb.covering import min_ap_cover
 from addcomb.errors import (
     InvalidParamsError,
@@ -20,6 +21,7 @@ from addcomb.search import (
     run_suite,
     verify_family,
 )
+from conftest import brute_canonical
 
 
 def test_enumeration_examples():
@@ -53,6 +55,41 @@ def test_enumeration_matches_burnside_counts():
     for p in (2, 3, 5, 7, 11, 13):
         for k in range(1, p + 1):
             assert count_canonical_classes(p, k) == affine_orbit_count(p, k), (p, k)
+
+
+def test_enumeration_matches_burnside_counts_uncapped_17_19():
+    for p in (17, 19):
+        for k in range(1, p + 1):
+            assert count_canonical_classes(p, k) == affine_orbit_count(p, k), (p, k)
+    # the largest enumerable prime: masks and sumsets use bits up to 60
+    for k in (2, 3, 4, 59, 60, 61):
+        assert count_canonical_classes(61, k) == affine_orbit_count(61, k), k
+
+
+def test_enumeration_small_chunks_same_classes_same_order(monkeypatch):
+    # frontier slices of 7 children and canonicity steps of 7 images
+    # change nothing
+    cases = [(13, k, None) for k in range(1, 14)]
+    cases += [(17, k, min(3 * k - 4, 15)) for k in range(3, 10)]
+    want = {c: [a.mask for a in enumerate_canonical(*c)] for c in cases}
+    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
+    for c in cases:
+        assert [a.mask for a in enumerate_canonical(*c)] == want[c], c
+
+
+def test_enumeration_lexicographic_and_canonical():
+    for p, k, cap in ((17, 6, 14), (19, 5, None), (23, 8, 20)):
+        classes = [tuple(a.elements()) for a in enumerate_canonical(p, k, cap)]
+        assert classes == sorted(classes) and len(set(classes)) == len(classes)
+        for els in classes:
+            assert brute_canonical(els, p) == els
+
+
+def test_hunt_p29_clean():
+    report = hunt_conjecture([29])
+    assert report.clean
+    assert report.classes_examined == 9631
 
 
 def test_enumeration_completeness_against_naive():
