@@ -5,6 +5,8 @@ arbitrary-precision ints make these the fastest exact representation at the
 moduli this library targets.
 """
 
+import numpy as np
+
 
 def full_mask(n: int) -> int:
     return (1 << n) - 1
@@ -18,13 +20,9 @@ def mask_of(elements, n: int) -> int:
 
 
 def elements_of(mask: int) -> list[int]:
-    """Set bits in ascending order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    """Set bits in ascending order, in one pass over the mask's bytes."""
+    raw = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(raw, bitorder="little").nonzero()[0].tolist()
 
 
 def rotate(mask: int, r: int, n: int) -> int:
@@ -36,10 +34,4 @@ def rotate(mask: int, r: int, n: int) -> int:
 
 
 def dilate_mask(mask: int, d: int, n: int) -> int:
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << ((low.bit_length() - 1) * d % n)
-        mask ^= low
-    return out
-
+    return mask_of((e * d for e in elements_of(mask)), n)

@@ -8,6 +8,11 @@ classes give a *forbidden* one no such map may create.  Chaining each class
 yields O(k^2) integer rows spanning every required relation; their exact
 rational nullspace holds all the sum-preserving images, so every verdict
 here is exact linear algebra on those rows.
+
+One numpy kernel, _pair_classes, computes the classes for integer sets,
+residue sets and points of Z^d alike; the rows, the dimension-1
+propagation, the rectification's class representatives and the isomorphism
+test's class tables all read it.
 """
 
 from __future__ import annotations
@@ -15,9 +20,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from math import gcd
 from operator import mul
+
+import numpy as np
 
 from . import linalg
 from .errors import (
@@ -32,9 +39,6 @@ from .errors import (
 from .intsets import ApDescriptor, IntSet, normal_form, sumset as int_sumset
 from .residues import ResidueSet, dilation_gaps, half_units
 
-Pair = tuple[int, int]
-
-
 def _ground(obj) -> tuple[list, int | None]:
     """Element list plus modulus (None means torsion-free: Z or Z^d)."""
     if isinstance(obj, ResidueSet):
@@ -47,103 +51,97 @@ def _ground(obj) -> tuple[list, int | None]:
     return elems, None
 
 
-def _add(x, y, modulus):
-    if isinstance(x, tuple):
-        return tuple(a + b for a, b in zip(x, y))
-    s = x + y
-    return s % modulus if modulus is not None else s
+# Building the index pairs costs more than the rest of the kernel for the
+# small sets the suites sweep by the thousand, so those are kept.
+_CACHED_PAIRS_MAX_K = 64
 
 
-def _pairs(k: int) -> list[Pair]:
-    return [(i, j) for i in range(k) for j in range(i, k)]
+@lru_cache(maxsize=None)
+def _small_upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    pairs = np.triu_indices(k)
+    for index in pairs:
+        index.flags.writeable = False  # shared by every caller
+    return pairs
 
 
-def _pair_row(p: Pair, q: Pair, k: int) -> list[int]:
-    row = [0] * k
-    row[p[0]] += 1
-    row[p[1]] += 1
-    row[q[0]] -= 1
-    row[q[1]] -= 1
-    return row
+def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs i <= j, row-major."""
+    return _small_upper_pairs(k) if k <= _CACHED_PAIRS_MAX_K else np.triu_indices(k)
 
 
-def _sum_classes(elems: list, modulus: int | None) -> list[list[Pair]]:
-    """Index pairs i <= j grouped by the sum elems[i] + elems[j], in order of
-    first appearance."""
-    by_sum: dict = {}
-    for p in _pairs(len(elems)):
-        by_sum.setdefault(_add(elems[p[0]], elems[p[1]], modulus), []).append(p)
-    return list(by_sum.values())
+def _pair_classes(elems: list, modulus: int | None):
+    """The pair-sum kernel: index pairs i <= j sorted by elems[i] + elems[j]
+    (reduced mod modulus unless it is None), as arrays (first, second, same)
+    where same[t] says pairs t and t + 1 share their sum.
 
-
-def _chain_rows(classes: list[list[Pair]], k: int) -> list[list[int]]:
-    return [
-        _pair_row(p, q, k) for group in classes for p, q in zip(group, group[1:])
-    ]
-
-
-def required_spanning_rows(obj) -> list[list[int]]:
-    """Rows spanning the required-relation row space in O(k^2) time.
-
-    Pairs sharing a sum value are chained by consecutive differences; within
-    a sum class every quadruple row is a difference of two chained rows, so
-    the chain spans the class.
+    Elements are ints or equal-length int tuples (points of Z^d, added
+    coordinatewise, sums compared lexicographically).  Sums are exact: int64
+    while every coordinate is below 2^62 in size, Python ints past that.
     """
+    try:
+        v = np.array(elems, dtype=np.int64)
+        if np.abs(v).view(np.uint64).max(initial=0) >> 62:
+            raise OverflowError
+    except OverflowError:
+        v = np.array(elems, dtype=object)
+    i, j = _upper_pairs(len(elems))
+    sums = v[i] + v[j]
+    if modulus is not None:
+        sums %= modulus
+    if sums.ndim > 1:
+        sums = np.fromiter(map(tuple, sums.tolist()), dtype=object, count=len(sums))
+    order = np.argsort(sums, kind="stable")
+    sums = sums[order]
+    return i[order], j[order], sums[1:] == sums[:-1]
+
+
+def _spanning_rows(first, second, same, k: int) -> np.ndarray:
+    """Consecutive pairs of each sum class, as (R, k) int64 rows
+    e_i + e_j - e_i' - e_j'.  Two pairs with one sum share no index, so the
+    entries stay in -2..2; every quadruple row of a class is a difference of
+    its chained rows, so the chain spans the class."""
+    t = np.flatnonzero(same)
+    r = np.arange(len(t))
+    rows = np.zeros((len(t), k), dtype=np.int64)
+    rows[r, first[t]] = 1
+    rows[r, second[t]] += 1
+    rows[r, first[t + 1]] = -1
+    rows[r, second[t + 1]] -= 1
+    return rows
+
+
+def required_spanning_rows(obj) -> np.ndarray:
+    """Rows spanning the required-relation row space, O(k^2) of them."""
     elems, mod = _ground(obj)
-    return _chain_rows(_sum_classes(elems, mod), len(elems))
+    return _spanning_rows(*_pair_classes(elems, mod), len(elems))
 
 
-def _certified_nullspace(rows: list[list[int]], k: int) -> list[tuple[int, ...]]:
-    """Exact integer basis of the nullspace of required-relation rows: the
-    standard free-variable basis of the row space's RREF, denominators
-    cleared.  The RREF of a row space is unique, so any spanning rows give
-    the same basis.
+def _certified_nullspace(
+    rows: np.ndarray, k: int, selected: list[int] | None = None
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Rational basis of the nullspace of required-relation rows: the
+    standard free-variable basis of the row space's RREF.  The RREF of a row
+    space is unique, so any spanning rows give the same basis.
 
     A mod-q elimination picks candidate independent rows (independence mod q
-    certifies independence over Q); their rational nullspace is computed
-    exactly and every remaining row is checked to be orthogonal to it, which
-    certifies it spans the full row space.  Any violator joins the selection
-    and the loop repeats (rare).
+    certifies independence over Q) unless `selected` already holds them;
+    their rational nullspace is computed exactly and every row is checked to
+    be orthogonal to it, which certifies it spans the full row space.  A
+    violator joins the selection and the loop repeats (rare).
     """
-    if not rows:
-        return [
-            tuple(1 if i == j else 0 for i in range(k)) for j in range(k)
-        ]
-    _, selected = linalg.rank_mod_prime(rows, k)
+    if selected is None:
+        _, selected = linalg.rank_mod_prime(rows, k)
     while True:
-        chosen_rows = [rows[i] for i in selected]
-        basis = [
-            linalg.clear_denominators(v)
-            for v in linalg.nullspace_basis(chosen_rows, k)
-        ]
-        in_selected = set(selected)
-        grew = False
-        for i, row in enumerate(rows):
-            if i in in_selected:
-                continue
-            if any(sum(r * b for r, b in zip(row, bv)) for bv in basis):
-                selected.append(i)
-                grew = True
-                break
-        if not grew:
+        basis = tuple(linalg.nullspace_basis(rows[selected].tolist(), k))
+        cleared = np.array(
+            [linalg.clear_denominators(v) for v in basis], dtype=object
+        ).T
+        if np.abs(cleared).max() >> 60 == 0:
+            cleared = cleared.astype(np.int64)  # |row . v| <= 4 max|v|
+        violators = np.flatnonzero((rows @ cleared).any(axis=1))
+        if not len(violators):
             return basis
-
-
-def _relation_rank(rows: list[list[int]], k: int) -> int:
-    """Exact rank of required-relation rows.
-
-    The constant and identity vectors always lie in the nullspace, so
-    rank <= k - 2 and a mod-q rank (a certified lower bound) hitting that
-    ceiling is already exact; otherwise fall through to the certified
-    nullspace."""
-    if not rows:
-        return 0
-    if k <= 45:
-        return linalg.rank_int_rows(rows, k)
-    r_q, _ = linalg.rank_mod_prime(rows, k)
-    if r_q >= k - 2:
-        return k - 2
-    return k - len(_certified_nullspace(rows, k))
+        selected = [*selected, int(violators[0])]
 
 
 @dataclass(frozen=True)
@@ -154,22 +152,14 @@ class DimensionResult:
 
     dim: int
     ground_size: int
-    _rows: tuple[tuple[int, ...], ...]
-
-    @cached_property
-    def nullspace_basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(
-            linalg.nullspace_basis([list(r) for r in self._rows], self.ground_size)
-        )
+    nullspace_basis: tuple[tuple[Fraction, ...], ...]
 
 
 def additive_dimension(a: IntSet) -> DimensionResult:
     if len(a) < 2:
         raise UndefinedDimensionError("dimension needs at least two elements")
-    rows = required_spanning_rows(a)
-    rank = _relation_rank(rows, len(a))
-    dim = len(a) - 1 - rank
-    return DimensionResult(dim, len(a), tuple(tuple(r) for r in rows))
+    basis = _certified_nullspace(required_spanning_rows(a), len(a))
+    return DimensionResult(len(basis) - 1, len(a), basis)
 
 
 def _dim1_by_propagation(elems: list) -> bool:
@@ -178,12 +168,17 @@ def _dim1_by_propagation(elems: list) -> bool:
     Anchor two images and propagate values forced by the required relations
     (all pairs in a sum class share one image-sum).  If every image gets
     pinned, the solution space is exactly the affine maps, i.e. dim = 1.
-    A stall is inconclusive, never wrong.
+    A stall is inconclusive, never wrong, and the fixpoint does not depend
+    on the order the classes are visited in.
     """
     k = len(elems)
     if k == 2:
         return True
-    classes = _sum_classes(elems, None)
+    first, second, same = _pair_classes(elems, None)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    cuts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(pairs)]
+    # a class of one pair pins nothing
+    classes = [pairs[s:e] for s, e in zip(cuts, cuts[1:]) if e - s > 1]
     f: list = [None] * k
     f[0], f[1] = 0, 1
     known = 2
@@ -210,13 +205,37 @@ def _dim1_by_propagation(elems: list) -> bool:
     return known == k
 
 
+def _dimension(a: IntSet):
+    """(dim, rows, basis) of a set of at least two elements: its required
+    rows and their certified nullspace, each None where dim was settled
+    without it.
+
+    Past 45 elements the propagation goes first.  The rank is Bareiss up to
+    45 columns; past that, the constant and identity vectors always lie in
+    the nullspace, so rank <= k - 2 and a mod-q rank (a certified lower
+    bound) hitting that ceiling is already exact; otherwise the certified
+    nullspace decides."""
+    k = len(a)
+    if k > 45 and _dim1_by_propagation(list(a.elements)):
+        return 1, None, None
+    rows = required_spanning_rows(a)
+    if not len(rows):
+        return k - 1, rows, None
+    if k <= 45:
+        return k - 1 - linalg.rank_int_rows(rows, k), rows, None
+    r_q, selected = linalg.rank_mod_prime(rows, k)
+    if r_q >= k - 2:
+        return 1, rows, None
+    basis = _certified_nullspace(rows, k, selected)
+    return len(basis) - 1, rows, basis
+
+
 def additive_dimension_value(a: IntSet) -> int:
-    """Dimension without materializing the nullspace (engine hot path)."""
+    """Dimension without materializing the nullspace where it can (engine
+    hot path)."""
     if len(a) < 2:
         raise UndefinedDimensionError("dimension needs at least two elements")
-    if len(a) > 45 and _dim1_by_propagation(list(a.elements)):
-        return 1
-    return len(a) - 1 - _relation_rank(required_spanning_rows(a), len(a))
+    return _dimension(a)[0]
 
 
 def dimension_lower_bound_check(a: IntSet) -> bool:
@@ -226,12 +245,26 @@ def dimension_lower_bound_check(a: IntSet) -> bool:
     return len(int_sumset(a)) >= (d + 1) * len(a) - (d + 1) * d // 2
 
 
+def _class_table(elems: list, modulus: int | None):
+    """(table, profiles): table[i][j] is the sum class of elems[i] + elems[j],
+    classes numbered in sum order, and profiles[i] the sorted sizes (pairs
+    i <= j) of the classes in row i."""
+    first, second, same = _pair_classes(elems, modulus)
+    ids = np.concatenate(([0], np.cumsum(~same)))
+    table = np.empty((len(elems), len(elems)), dtype=np.intp)
+    table[first, second] = ids
+    table[second, first] = ids
+    profiles = np.sort(np.bincount(ids)[table], axis=1).tolist()
+    return table.tolist(), list(map(tuple, profiles))
+
+
 def is_freiman_isomorphic(a, b) -> bool:
     """Is there a bijection preserving pair-sum equality both ways?
 
     Backtracking over candidate images, pruned by per-element relation
-    profiles and an incrementally maintained bijection between realized pair
-    sums of the two sides.
+    profiles (the sorted sizes of the classes an element's pair sums fall
+    in) and an incrementally maintained bijection between the realized sum
+    classes of the two sides.
     """
     ea, ma = _ground(a)
     eb, mb = _ground(b)
@@ -241,27 +274,13 @@ def is_freiman_isomorphic(a, b) -> bool:
     if k == 0:
         return True
 
-    def profiles(elems, mod):
-        pairs = _pairs(len(elems))
-        count: dict = {}
-        for p in pairs:
-            s = _add(elems[p[0]], elems[p[1]], mod)
-            count[s] = count.get(s, 0) + 1
-        prof = []
-        for i in range(len(elems)):
-            multi = sorted(
-                count[_add(elems[i], elems[j], mod)] for j in range(len(elems))
-            )
-            prof.append(tuple(multi))
-        return prof
-
-    pa, pb = profiles(ea, ma), profiles(eb, mb)
+    (ta, pa), (tb, pb) = _class_table(ea, ma), _class_table(eb, mb)
     if sorted(pa) != sorted(pb):
         return False
 
     order = sorted(range(k), key=lambda i: (pa[i], i))
-    sum_ab: dict = {}
-    sum_ba: dict = {}
+    class_ab: dict = {}
+    class_ba: dict = {}
     image = [None] * k
     used = [False] * k
 
@@ -278,19 +297,18 @@ def is_freiman_isomorphic(a, b) -> bool:
                 if image[t] is None and t != i:
                     continue
                 jt = j if t == i else image[t]
-                sa = _add(ea[i], ea[t], ma)
-                sb = _add(eb[j], eb[jt], mb)
-                if sa in sum_ab:
-                    if sum_ab[sa] != sb:
+                ca, cb = ta[i][t], tb[j][jt]
+                if ca in class_ab:
+                    if class_ab[ca] != cb:
                         ok = False
                         break
-                elif sb in sum_ba:
+                elif cb in class_ba:
                     ok = False
                     break
                 else:
-                    sum_ab[sa] = sb
-                    sum_ba[sb] = sa
-                    added.append((sa, sb))
+                    class_ab[ca] = cb
+                    class_ba[cb] = ca
+                    added.append((ca, cb))
             if ok:
                 image[i] = j
                 used[j] = True
@@ -298,9 +316,9 @@ def is_freiman_isomorphic(a, b) -> bool:
                     return True
                 image[i] = None
                 used[j] = False
-            for sa, sb in added:
-                del sum_ab[sa]
-                del sum_ba[sb]
+            for ca, cb in added:
+                del class_ab[ca]
+                del class_ba[cb]
         return False
 
     return assign(0)
@@ -331,9 +349,11 @@ def _separating_nullspace(elems: list, modulus: int | None):
     point exists iff the classes' value vectors over the basis are pairwise
     distinct.
     """
-    classes = _sum_classes(elems, modulus)
-    basis = _certified_nullspace(_chain_rows(classes, len(elems)), len(elems))
-    reps = [group[0] for group in classes]
+    first, second, same = _pair_classes(elems, modulus)
+    rows = _spanning_rows(first, second, same, len(elems))
+    basis = [linalg.clear_denominators(v) for v in _certified_nullspace(rows, len(elems))]
+    new = np.concatenate(([True], ~same))
+    reps = list(zip(first[new].tolist(), second[new].tolist()))
     vectors = {tuple(b[i] + b[j] for b in basis) for i, j in reps}
     return (basis, reps) if len(vectors) == len(reps) else None
 
@@ -498,12 +518,11 @@ def _two_lines_postconditions_ok(a: IntSet, p1: ApDescriptor, p2: ApDescriptor) 
     return not (s11 & s12) and not (s11 & s22) and not (s12 & s22)
 
 
-def _embedding_candidates(a: IntSet):
-    """Two-parallel-lines structures of the universal planar embedding,
-    cheapest total length first."""
+def _embedding_candidates(a: IntSet, basis):
+    """Two-parallel-lines structures of the universal planar embedding read
+    off the certified nullspace `basis`, cheapest total length first."""
     k = len(a)
-    rows = required_spanning_rows(a)
-    basis = _certified_nullspace(rows, k)
+    basis = [linalg.clear_denominators(v) for v in basis]
     # project out the constant direction, keep the first two independent
     # vectors: w is independent of u iff a 2x2 minor on a pivot of u is nonzero
     picked: list[tuple[int, ...]] = []
@@ -575,13 +594,15 @@ def two_lines_cover(a: IntSet) -> TwoLinesCover:
         failures.append(f"|A| = {k} < 11")
     if 3 * len(two_a) > 10 * k - 21:
         failures.append(f"3|2A| = {3 * len(two_a)} > 10|A| - 21 = {10 * k - 21}")
-    dim = additive_dimension_value(a) if k >= 2 else 0
+    dim, rows, basis = _dimension(a) if k >= 2 else (0, None, None)
     if dim != 2:
         failures.append(f"dim = {dim} != 2")
     if failures:
         raise PreconditionFailedError("; ".join(failures))
 
-    pts, candidates = _embedding_candidates(a)
+    if basis is None:
+        basis = _certified_nullspace(rows, k)
+    pts, candidates = _embedding_candidates(a, basis)
     elems = list(a.elements)
     phi = {pts[i]: elems[i] for i in range(k)}
     ell = affine_extension(pts, phi) if candidates else None

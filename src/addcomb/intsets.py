@@ -111,9 +111,7 @@ def normal_form(a: IntSet) -> IntSet:
 def sumset(a: IntSet) -> IntSet:
     """A + A over Z via one shift-OR pass on a translated bitmask."""
     shift = a.min()
-    mask = 0
-    for e in a.elements:
-        mask |= 1 << (e - shift)
+    mask = bits.mask_of((e - shift for e in a.elements), a.max() - shift + 1)
     out = 0
     for e in a.elements:
         out |= mask << (e - shift)

@@ -16,12 +16,12 @@ import numpy as np
 _BAREISS_MAX_COLS = 45
 
 
-def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
-    """Exact rank of integer rows with entries in -2..2 and at most 45
-    columns, the bounds that keep Bareiss exact in int64."""
-    if not rows:
-        return 0
+def rank_int_rows(rows: np.ndarray, ncols: int) -> int:
+    """Exact rank of an (R, ncols) integer array with entries in -2..2 and
+    at most 45 columns, the bounds that keep Bareiss exact in int64."""
     m = np.array(rows, dtype=np.int64)
+    if not len(m):
+        return 0
     if ncols > _BAREISS_MAX_COLS or np.abs(m).max() > 2:
         raise ValueError(
             f"rank_int_rows needs at most {_BAREISS_MAX_COLS} columns and "
@@ -40,7 +40,7 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
         piv = m[rank, col]
         below = m[rank + 1 :]
         if below.size:
-            m[rank + 1 :] = (below * piv - np.outer(below[:, col], m[rank])) // prev
+            m[rank + 1 :] = (below * piv - below[:, col, None] * m[rank]) // prev
         prev = piv
         rank += 1
         if rank == nrows:
@@ -52,14 +52,15 @@ def rank_int_rows(rows: list[list[int]], ncols: int) -> int:
 _RANK_PRIME = 2147483647  # elimination entries stay below 2^62 in int64
 
 
-def rank_mod_prime(rows: list[list[int]], ncols: int) -> tuple[int, list[int]]:
-    """Row rank over GF(q) plus the indices of an independent row subset.
+def rank_mod_prime(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
+    """Row rank over GF(q) of an (R, ncols) integer array plus the indices
+    of an independent row subset.
 
     Rows independent mod q are independent over Q, so this is a certified
     lower bound on the rational rank (and the subset is a certified
     independent set)."""
     q = _RANK_PRIME
-    m = np.array(rows, dtype=np.int64) % q
+    m = np.asarray(rows, dtype=np.int64) % q
     nrows = m.shape[0]
     order = np.arange(nrows)
     rank = 0

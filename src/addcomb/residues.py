@@ -60,11 +60,7 @@ class ResidueSet:
 
     @classmethod
     def from_elements(cls, modulus: int, elements) -> "ResidueSet":
-        m = 0
-        for e in elements:
-            e %= modulus
-            m |= 1 << e
-        return cls(modulus, m)
+        return cls(modulus, bits.mask_of(elements, modulus))
 
     @property
     def prime_modulus(self) -> bool:

@@ -432,23 +432,32 @@ def _verify_one_instance(params: FamilyParams) -> dict | None:
 # --- verification suites ----------------------------------------------------
 
 
-def _normal_form_subsets(limit: int, min_size: int, max_size: int):
-    """All A containing 0 with gcd 1 inside [0, limit], by DFS; sizes in
-    [min_size, max_size]."""
+def _normal_form_subsets(
+    limit: int, min_size: int, max_size: int, cap: int | None = None
+):
+    """All A containing 0 with gcd 1 inside [0, limit], by DFS in
+    lexicographic order; sizes in [min_size, max_size] and, given a cap,
+    |2A| <= cap (prefix sumsets only grow, so the cap prunes)."""
     from math import gcd
 
-    def rec(elements: list[int], g: int, nxt: int):
+    def rec(elements: list[int], mask: int, summask: int, g: int, nxt: int):
         size = len(elements)
         if size >= min_size and g == 1:
             yield tuple(elements)
         if size == max_size:
             return
-        for e in range(nxt, limit + 1):
+        # leave room for the elements still needed to reach min_size
+        for e in range(nxt, limit + 1 - max(0, min_size - size - 1)):
+            new_mask = mask | (1 << e)
+            new_sum = summask | (new_mask << e)
+            if cap is not None and new_sum.bit_count() > cap:
+                continue
             elements.append(e)
-            yield from rec(elements, gcd(g, e), e + 1)
+            yield from rec(elements, new_mask, new_sum, gcd(g, e), e + 1)
             elements.pop()
 
-    yield from rec([0], 0, 1)
+    if cap is None or cap >= 1:
+        yield from rec([0], 1, 1, 0, 1)
 
 
 def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
@@ -501,30 +510,6 @@ def _suite_3k4(limit: int = 15) -> tuple[int, list[dict], list[str]]:
     ]
 
 
-def _capped_normal_form_dfs(limit: int, size: int, cap: int):
-    """Normal-form sets (0 in A, gcd 1) in [0, limit] with exactly `size`
-    elements and |2A| <= cap; prefix sumsets only grow, so the cap prunes."""
-    from math import gcd
-
-    def rec(elems: list[int], mask: int, summask: int, g: int, nxt: int):
-        t = len(elems)
-        if t == size:
-            if g == 1:
-                yield tuple(elems)
-            return
-        for e in range(nxt, limit - (size - t) + 2):
-            new_mask = mask | (1 << e)
-            new_sum = summask | (new_mask << e)
-            if new_sum.bit_count() > cap:
-                continue
-            elems.append(e)
-            yield from rec(elems, new_mask, new_sum, gcd(g, e), e + 1)
-            elems.pop()
-
-    if cap >= 1:
-        yield from rec([0], 1, 1, 0, 1)
-
-
 def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
     """Desk-scale analogue of the conjectured covering constant: over
     1-dimensional normal-form sets with |2A| <= 3.04|A| - 3, record whether
@@ -542,7 +527,7 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
         if best_ratio >= Fraction(limit, size) and 4 * size > limit:
             break  # no violation possible and the ratio cannot improve
         cap = (304 * size - 300) // 100  # |2A| <= 3.04|A| - 3, exactly
-        for elems in _capped_normal_form_dfs(limit, size, cap):
+        for elems in _normal_form_subsets(limit, size, size, cap):
             a = IntSet(elems)
             if additive_dimension_value(a) != 1:
                 continue

@@ -106,3 +106,17 @@ def brute_rectifiable(elements, n):
         if col is not None:
             echelon.append((col, [v / row[col] for v in row]))
     return not any(not any(reduce(row)) for row in forbidden)
+
+
+def brute_pair_classes(elements, n=None):
+    """Index pairs i <= j grouped by elements[i] + elements[j] (mod n unless
+    None; tuples add coordinatewise), as a set of frozensets of pairs."""
+    groups = {}
+    for i, x in enumerate(elements):
+        for j in range(i, len(elements)):
+            y = elements[j]
+            s = tuple(a + b for a, b in zip(x, y)) if isinstance(x, tuple) else x + y
+            if n is not None:
+                s %= n
+            groups.setdefault(s, []).append((i, j))
+    return {frozenset(g) for g in groups.values()}

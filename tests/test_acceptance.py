@@ -18,7 +18,7 @@ import numpy as np
 
 from addcomb import bits
 from addcomb.covering import min_ap_cover
-from addcomb.engine import BRANCHES, prove_cover
+from addcomb.engine import BRANCH_CASE1, BRANCH_WHOLE, BRANCHES, prove_cover
 from addcomb.freiman import (
     is_freiman_isomorphic,
     is_rectifiable,
@@ -318,13 +318,37 @@ def test_c09_engine_soundness():
         assert t.result.within_bound == (t.result.length <= bound)
         if t.branch != "fallback":
             assert t.result.within_bound
+    fourier_case1 = _fourier_case1_corpus()
     _criterion(
         9,
-        "engine soundness, 10^4 sets p <= 2003",
+        "engine soundness, 10^4 sets p <= 2003 and 30 Fourier-mode sets",
         True,
-        f"branches {branches}, every cover re-verified, "
-        f"{time.monotonic() - started:.1f}s",
+        f"branches {branches}, every cover re-verified; Fourier mode "
+        f"{fourier_case1} case1 of 30, {time.monotonic() - started:.1f}s",
     )
+
+
+def _fourier_case1_corpus() -> int:
+    """A = [0, L) u {(p+1)/2 + j : j < r} above the exact-search range: the
+    interval fills the window and the far block stays out of it, so the
+    queries that keep it out reach case 1 and its re-dilation by 2."""
+    rng = random.Random(9)
+    case1 = 0
+    for _ in range(30):
+        p = rng.choice([16411, 16417, 16421, 32771, 65537])
+        length = rng.randrange(50, p // 6)
+        r = rng.choice([2, 5, 20])
+        a = ResidueSet.from_elements(
+            p, list(range(length)) + [(p + 1) // 2 + j for j in range(r)]
+        )
+        t = prove_cover(a)
+        assert t.window.mode == "fourier"
+        assert t.branch in (BRANCH_CASE1, BRANCH_WHOLE), t.branch
+        assert t.result.witness.covers(a.elements())
+        assert t.result.length <= t.result.bound == len(sumset(a)) - len(a) + 1
+        case1 += t.branch == BRANCH_CASE1
+    assert case1 >= 20
+    return case1
 
 
 def test_c10_structure_postconditions():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,7 @@ from addcomb.errors import (
     UndefinedDimensionError,
 )
 from addcomb.freiman import (
+    _pair_classes,
     additive_dimension,
     additive_dimension_value,
     affine_extension,
@@ -28,7 +30,7 @@ from addcomb.freiman import (
 )
 from addcomb.intsets import IntSet, normal_form, sumset
 from addcomb.residues import ResidueSet
-from conftest import brute_rectifiable
+from conftest import brute_pair_classes, brute_rectifiable
 
 small_int_sets = st.sets(st.integers(0, 40), min_size=2, max_size=8).map(
     IntSet.from_iterable
@@ -74,6 +76,57 @@ def test_rectifiable_matches_quadruple_oracle():
     assert 0 < rectifiable
 
 
+def _kernel_partition(elems, modulus=None):
+    first, second, same = _pair_classes(elems, modulus)
+    pairs = list(zip(first.tolist(), second.tolist()))
+    cuts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(pairs)]
+    classes = [pairs[s:e] for s, e in zip(cuts, cuts[1:])]
+    # classes come in increasing sum order (lexicographic for points)
+    def pair_sum(i, j):
+        x, y = elems[i], elems[j]
+        s = tuple(a + b for a, b in zip(x, y)) if isinstance(x, tuple) else x + y
+        return s % modulus if modulus is not None else s
+
+    sums = [pair_sum(*group[0]) for group in classes]
+    assert sums == sorted(sums) and len(set(sums)) == len(sums)
+    return {frozenset(group) for group in classes}
+
+
+def _kernel_oracle_corpus():
+    rng = random.Random(0x5A17)
+    for _ in range(150):  # integer sets, negatives included
+        k = rng.randrange(1, 16)
+        yield sorted(rng.sample(range(-60, 60), k)), None
+    for _ in range(150):  # residue sets, composite moduli included
+        n = rng.randrange(2, 41)
+        yield rs(n, rng.sample(range(n), rng.randrange(1, min(n, 12) + 1))).elements(), n
+    for _ in range(100):  # points of Z^2
+        pts = list({(rng.randrange(-3, 4), rng.randrange(-3, 4)) for _ in range(rng.randrange(1, 12))})
+        yield pts, None
+    big = 1 << 70
+    yield [0, 1, big, big + 1], None  # sums past int64
+    yield [-(1 << 64), -3, 0, 5, 1 << 63, (1 << 63) + 5], None
+    yield [(0, big), (1, 0), (1, big), (2, -big)], None
+    yield [0, (1 << 62) - 1, (1 << 62) - 2, -(1 << 62) + 1], None  # int64 edge
+    yield [1 << 62, (1 << 62) + 1, (1 << 62) + 2], None  # just past it
+    yield [-(1 << 62), 0, 1 << 62], None  # 2^63 and -2^63 would wrap to one sum
+
+
+def test_pair_kernel_matches_brute_grouping():
+    for elems, n in _kernel_oracle_corpus():
+        assert _kernel_partition(elems, n) == brute_pair_classes(elems, n), (elems, n)
+
+
+def test_dimension_past_int64(capsys):
+    from addcomb.cli import run
+
+    big = 1 << 70
+    a = IntSet.of(0, 1, big, big + 1)
+    assert additive_dimension_value(a) == 2 == additive_dimension(a).dim
+    assert run(["dim", f"{{0,1,{big},{big + 1}}}", "--json"]) == 0
+    assert '"dim": 2' in capsys.readouterr().out
+
+
 def test_required_nullspace_contains_constant_and_identity():
     a = IntSet.of(0, 2, 3, 7, 9)
     rows = required_spanning_rows(a)
@@ -91,10 +144,11 @@ def test_dimension_examples():
 
 
 def test_dimension_nullspace_rank():
-    res = additive_dimension(IntSet.of(0, 1, 10, 11))
+    a = IntSet.of(0, 1, 10, 11)
+    res = additive_dimension(a)
     assert len(res.nullspace_basis) == res.dim + 1
     # every basis vector kills every required row
-    rows = [list(r) for r in res._rows]
+    rows = required_spanning_rows(a).tolist()
     for v in res.nullspace_basis:
         for row in rows:
             assert sum(Fraction(c) * x for c, x in zip(row, v)) == 0

@@ -38,6 +38,19 @@ def rs(n, els):
     return ResidueSet.from_elements(n, els)
 
 
+# --- bit iterator -------------------------------------------------------------
+
+def test_elements_of_and_dilate_mask_against_loops(rng):
+    for n in (1, 7, 8, 64, 65, 2003, 16381):
+        for size in {0, 1, n // 3, n}:
+            els = sorted(rng.sample(range(n), size))
+            mask = bits.mask_of(els, n)
+            assert bits.elements_of(mask) == [i for i in range(n) if mask >> i & 1] == els
+            d = rng.randrange(1, n + 1)
+            dilated = {e * d % n for e in els}
+            assert bits.dilate_mask(mask, d, n) == sum(1 << x for x in dilated)
+
+
 # --- literals ---------------------------------------------------------------
 
 def test_literal_round_trip():

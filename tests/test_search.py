@@ -1,4 +1,6 @@
 import json
+from itertools import combinations
+from math import gcd
 
 import pytest
 
@@ -17,11 +19,12 @@ from addcomb.search import (
     count_canonical_classes,
     enumerate_canonical,
     family_instances,
+    _normal_form_subsets,
     hunt_conjecture,
     run_suite,
     verify_family,
 )
-from conftest import brute_canonical
+from conftest import brute_canonical, naive_sumset
 
 
 def test_enumeration_examples():
@@ -199,3 +202,17 @@ def test_prop23_variant_small_range():
     rep = run_suite("prop23_variant", limit=14)
     assert rep.clean  # no ratio above 4 in this range
     assert any("empirical max" in n for n in rep.notes)
+
+
+def test_normal_form_subsets_against_brute():
+    # DFS preorder is lexicographic order, so the brute list is sorted
+    for limit, lo, hi, cap in [(9, 1, 10, None), (10, 2, 5, None), (12, 4, 4, 9),
+                               (12, 3, 6, 11), (11, 5, 5, 12), (8, 2, 3, 0)]:
+        want = sorted(
+            (0, *rest)
+            for size in range(lo, hi + 1)
+            for rest in combinations(range(1, limit + 1), size - 1)
+            if gcd(0, *rest) == 1
+            and (cap is None or len(naive_sumset((0, *rest))) <= cap)
+        )
+        assert list(_normal_form_subsets(limit, lo, hi, cap)) == want
