@@ -26,11 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from . import bits
-from .errors import ConsistencyError, HypothesisNotMetError, PreconditionFailedError, PrimeRequiredError
+from .errors import ConsistencyError, HypothesisNotMetError, PreconditionFailedError, PrimeRequiredError, SearchRangeError
 from .covering import CoverResult, _min_ap_cover
 from .freiman import additive_dimension_value, two_lines_cover
 from .intsets import ApDescriptor, IntSet, cover_3k4, min_cover_ap, sumset as int_sumset
-from .residues import ResidueSet, cross_sum_mask, dilate, dilation_gaps, sumset
+from .residues import ResidueSet, cross_sum_mask, dilate, half_window_fit, sumset
 from .spectral import RectWindow, best_half_window, spectrum
 
 BRANCH_WHOLE = "whole_set_rectifiable"
@@ -125,14 +125,6 @@ def _rectified_ints(mask: int, p: int, start: int) -> IntSet:
     return IntSet.from_iterable((x - start) % p for x in bits.elements_of(mask))
 
 
-def _window_start(mask: int, p: int) -> int | None:
-    """A start u with the set inside [u, u + (p+1)/2), or None."""
-    _, gaps, ends = next(dilation_gaps(bits.elements_of(mask), p, [1]))
-    if p - gaps[0] > (p + 1) // 2:
-        return None
-    return int(ends[0])
-
-
 def _finish_by_rectifying(
     trace: EngineTrace,
     a: ResidueSet,
@@ -147,11 +139,11 @@ def _finish_by_rectifying(
     hypothesis fails."""
     p = a.modulus
     image = to_norm.apply_set(a)
-    v = _window_start(image.mask, p)
-    if v is None:
-        trace.annotations[f"{branch}_window_fit"] = False
+    fit = half_window_fit(image.elements(), p, [1])
+    trace.annotations[f"{branch}_window_fit"] = fit is not None
+    if fit is None:
         return False
-    trace.annotations[f"{branch}_window_fit"] = True
+    v = fit[1]
     ints = _rectified_ints(image.mask, p, v)
     try:
         ap = cover_3k4(ints)
@@ -216,7 +208,10 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         return _fallback(trace, a, two_a, "captured part fails |2A1| <= 3.04|A1| - 7")
 
     # Freiman's lemma: dim >= 2 forces |2A1| >= 3|A1| - 3
-    dim = 1 if len(two_a1) <= 3 * k1 - 4 else additive_dimension_value(a1_ints)
+    try:
+        dim = 1 if len(two_a1) <= 3 * k1 - 4 else additive_dimension_value(a1_ints)
+    except SearchRangeError as e:
+        return _fallback(trace, a, two_a, f"dimension of the captured part: {e}")
     trace.dim_a1 = dim
     if dim >= 3:
         # impossible alongside the doubling check by the dimension lower

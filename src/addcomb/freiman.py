@@ -37,7 +37,7 @@ from .errors import (
     UndefinedDimensionError,
 )
 from .intsets import ApDescriptor, IntSet, normal_form, sumset as int_sumset
-from .residues import ResidueSet, dilation_gaps, half_units
+from .residues import ResidueSet, half_units, half_window_fit
 
 def _ground(obj) -> tuple[list, int | None]:
     """Element list plus modulus (None means torsion-free: Z or Z^d)."""
@@ -95,12 +95,24 @@ def _pair_classes(elems: list, modulus: int | None):
     return i[order], j[order], sums[1:] == sums[:-1]
 
 
+# Required-row entries R * k a set may build: 16 MiB of int64 rows.  The rank
+# work grows like R * k^2; 200 integers from [0, 2000) need 3.3M entries (7 s,
+# 101 MiB peak), 1,000 from [0, 10^4) about 3.8 GB.  Campaigns need < 5,000.
+REQUIRED_ROW_ENTRY_BUDGET = 1 << 21
+
+
 def _spanning_rows(first, second, same, k: int) -> np.ndarray:
     """Consecutive pairs of each sum class, as (R, k) int64 rows
     e_i + e_j - e_i' - e_j'.  Two pairs with one sum share no index, so the
     entries stay in -2..2; every quadruple row of a class is a difference of
-    its chained rows, so the chain spans the class."""
+    its chained rows, so the chain spans the class.  Past
+    REQUIRED_ROW_ENTRY_BUDGET entries it raises SearchRangeError."""
     t = np.flatnonzero(same)
+    if len(t) * k > REQUIRED_ROW_ENTRY_BUDGET:
+        raise SearchRangeError(
+            f"{len(t)} required rows of {k} entries exceed the budget of "
+            f"{REQUIRED_ROW_ENTRY_BUDGET} row entries"
+        )
     r = np.arange(len(t))
     rows = np.zeros((len(t), k), dtype=np.int64)
     rows[r, first[t]] = 1
@@ -324,22 +336,6 @@ def is_freiman_isomorphic(a, b) -> bool:
     return assign(0)
 
 
-def _half_interval_dilation(a: ResidueSet) -> tuple[int, int] | None:
-    """(d, u) with d*A inside [u, u + ceil(n/2)) if one exists, else None.
-
-    Sums inside a window of (n+1)//2 consecutive residues cannot wrap, so a
-    set fitting such a window after a unit dilation embeds in Z verbatim.
-    """
-    n = a.modulus
-    # d and n - d fit alike, so the smallest fitting unit is at most n/2
-    for ms, gaps, ends in dilation_gaps(a.elements(), n, half_units(n)):
-        fit = n - gaps <= (n + 1) // 2
-        if fit.any():
-            i = int(fit.argmax())
-            return int(ms[i]), int(ends[i])
-    return None
-
-
 def _separating_nullspace(elems: list, modulus: int | None):
     """(basis, reps): the certified integer nullspace of the required rows
     and one index pair per sum class, or None if the set is not rectifiable.
@@ -367,7 +363,7 @@ def is_rectifiable(a: ResidueSet) -> bool:
     """
     if len(a) <= 1:
         return True
-    if _half_interval_dilation(a) is not None:
+    if half_window_fit(a.elements(), a.modulus, half_units(a.modulus)) is not None:
         return True
     return _separating_nullspace(a.elements(), a.modulus) is not None
 

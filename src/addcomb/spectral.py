@@ -11,7 +11,9 @@ exact integers, so floating error never flips it.
 The exact half-window search (p <= 2^14) reads the covering sweep's chunked
 rows (residues.dilation_rows), so its memory is bounded whatever p * |A|.
 Negation maps a half window onto a half window, so d and p - d capture alike
-and only d <= (p-1)/2 is searched.
+and only d <= (p-1)/2 is searched, in two passes.  The gap kernel alone
+settles a dilate that fits a half window whole (p - gap <= (p+1)/2, capture
+|A|); only when none fits are the member-anchored windows counted.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .errors import (
     PreconditionFailedError,
     PrimeRequiredError,
 )
-from .residues import ResidueSet, dilate, dilation_rows, half_units, sumset
+from .residues import ResidueSet, dilate, dilation_rows, half_units, half_window_fit, sumset
 
 MAG_TOL = 1e-6
 EXACT_SEARCH_MAX_P = 1 << 14
@@ -183,10 +185,15 @@ def _member_window_counts(rows: np.ndarray, p: int, w: int) -> np.ndarray:
 def best_half_window(a: ResidueSet) -> RectWindow:
     """The (d, u) whose half window captures the most of d * A.
 
-    Exact sweep over every (d, u) for p <= 2^14, smallest d then smallest u
-    on ties.  Above that, the d attaining the maximal Fourier magnitude is
-    used with its best u; that capture is guaranteed at least
-    (|A| + |T_A(d)|)/2 and the mode is recorded as "fourier".
+    Exact search over every (d, u) for p <= 2^14, smallest d then smallest u
+    on ties.  The first pass takes the smallest d <= (p-1)/2 whose dilate
+    fits a half window whole: no d captures more than |A|, and d and p - d
+    fit alike.  Only if none fits does the second pass count every
+    member-anchored window, keeping the first row at the maximum.  u is the
+    first start attaining the maximum for that d (the fit's own start, the
+    member after the gap, can lie past it).  Above 2^14, the d attaining the
+    maximal Fourier magnitude is used with its best u; that capture is
+    guaranteed at least (|A| + |T_A(d)|)/2 and the mode is "fourier".
     """
     p = a.modulus
     if not a.prime_modulus:
@@ -195,16 +202,17 @@ def best_half_window(a: ResidueSet) -> RectWindow:
         raise EmptySetError("window of the empty set")
     w = (p + 1) // 2
     if p <= EXACT_SEARCH_MAX_P:
-        # Sliding the window start right to the next member never loses a
-        # capture, so the maximum count is attained at member-anchored
-        # windows; the exact smallest-u tie-break is recovered afterwards
-        # for the winning dilation alone.
-        count, d = -1, None
-        for ms, rows in dilation_rows(a.elements(), p, half_units(p)):
-            per_d = _member_window_counts(rows, p, w).max(axis=1)
-            i = int(per_d.argmax())  # first row: smallest dilation
-            if per_d[i] > count:
-                count, d = int(per_d[i]), int(ms[i])
+        fit = half_window_fit(a.elements(), p, half_units(p))
+        if fit is not None:
+            count, d = len(a), fit[0]
+        else:
+            # sliding a start right to the next member never loses a capture
+            count, d = -1, None
+            for ms, rows in dilation_rows(a.elements(), p, half_units(p)):
+                per_d = _member_window_counts(rows, p, w).max(axis=1)
+                i = int(per_d.argmax())  # first row: smallest dilation
+                if per_d[i] > count:
+                    count, d = int(per_d[i]), int(ms[i])
         exact_counts = window_capture_counts(a, d)
         assert int(exact_counts.max()) == count
         u = int(np.argmax(exact_counts))  # first index: smallest start

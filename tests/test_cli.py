@@ -206,3 +206,20 @@ def test_rectify_over_budget_exits_1_quickly(capsys):
     assert time.monotonic() - started < 5.0
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "coefficient vectors" in err
+
+
+def test_dim_and_rectify_past_row_budget_exit_1_quickly(capsys):
+    import random
+    import time
+
+    els = sorted(random.Random(1000).sample(range(10_000), 1000))
+    body = "{" + ",".join(map(str, els)) + "}"
+    started = time.monotonic()
+    code, out, err = invoke(capsys, "dim", body)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "exceed the budget" in err
+    started = time.monotonic()
+    code, out, err = invoke(capsys, "rectify", "n=10007:" + body)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "") and "exceed the budget" in err

@@ -1,5 +1,6 @@
 import pytest
 
+from addcomb import freiman
 from addcomb.covering import min_ap_cover
 from addcomb.engine import (
     BRANCH_CASE1,
@@ -194,6 +195,23 @@ def test_exact_mode_finishes_only_on_the_whole_set(rng):
             assert t.annotations["case1_window_fit"] is False
             reached_case1 += 1
     assert reached_case1 >= 20
+
+
+def test_dimension_past_row_budget_falls_back(monkeypatch):
+    # the window captures A1 = [0, 60) u [200, 250), |2A1| = 327 = 3|A1| - 3,
+    # so the Freiman shortcut does not apply and the dimension needs rows
+    p = 601
+    a = rs(p, list(range(60)) + list(range(200, 250)) + [301])
+    monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 1000)
+    t = prove_cover(a)
+    assert (t.window.d, t.window.u, len(t.window)) == (1, 0, 110)
+    assert t.a1_doubling_ok and t.dim_a1 is None
+    assert t.branch == BRANCH_FALLBACK
+    assert t.annotations["fallback_reason"] == (
+        "dimension of the captured part: 5778 required rows of 110 entries "
+        "exceed the budget of 1000 row entries"
+    )
+    assert t.result.witness.covers(a.elements())
 
 
 def test_trace_json_schema():

@@ -7,14 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from addcomb import freiman
 from addcomb.errors import (
     NotFreimanIsomorphismError,
     NotFullDimensionalError,
     NotRectifiableError,
     PreconditionFailedError,
+    SearchRangeError,
     UndefinedDimensionError,
 )
 from addcomb.freiman import (
+    REQUIRED_ROW_ENTRY_BUDGET,
     _pair_classes,
     additive_dimension,
     additive_dimension_value,
@@ -30,6 +33,7 @@ from addcomb.freiman import (
 )
 from addcomb.intsets import IntSet, normal_form, sumset
 from addcomb.residues import ResidueSet
+from addcomb.search import run_suite, verify_family
 from conftest import brute_pair_classes, brute_rectifiable
 
 small_int_sets = st.sets(st.integers(0, 40), min_size=2, max_size=8).map(
@@ -257,6 +261,54 @@ def test_rectify_random_corpus(rng):
         if is_rectifiable(a):
             out = rectify(a)  # internally postcondition-checked
             assert len(out) == len(a)
+
+
+# --- required-row budget -----------------------------------------------------------
+
+
+def test_row_budget_boundary(monkeypatch):
+    # {0, 1, 2, 3, 5}: 15 pairs and 10 sums, so 5 required rows of 5 entries;
+    # in Z_11, {0, 1, 2, 4, 7} fits no half window and has 5 rows as well
+    ints = IntSet.from_iterable([0, 1, 2, 3, 5])
+    residues = rs(101, [0, 1, 2, 3, 5])
+    unfit = rs(11, [0, 1, 2, 4, 7])
+    assert required_spanning_rows(ints).shape == required_spanning_rows(unfit).shape
+    assert required_spanning_rows(ints).shape == (5, 5)
+    monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 25)
+    assert additive_dimension(ints).dim == 1
+    assert not is_rectifiable(unfit)
+    assert len(rectify(residues)) == 5
+    monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 24)
+    for call, arg in (
+        (additive_dimension, ints),
+        (additive_dimension_value, ints),
+        (required_spanning_rows, ints),
+        (two_lines_cover, ints),
+        (rectify_map, residues),
+        (is_rectifiable, unfit),
+    ):
+        with pytest.raises(SearchRangeError, match="5 required rows of 5 entries"):
+            call(arg)
+    assert is_rectifiable(residues)  # the half-window fast path builds no rows
+
+
+def test_campaigns_stay_within_row_budget(monkeypatch):
+    # a tripped budget raises out of the campaign, so a campaign that
+    # returns a report returns the one it would give with no budget at all
+    entries = []
+    build = freiman._spanning_rows
+
+    def recording(first, second, same, k):
+        entries.append(int(same.sum()) * k)
+        return build(first, second, same, k)
+
+    monkeypatch.setattr(freiman, "_spanning_rows", recording)
+    for name in ("vosper", "dim_bound", "3k4"):
+        run_suite(name)
+    run_suite("prop23_variant", limit=16)
+    for family in ("example1", "example2"):
+        verify_family(family, 199)
+    assert entries and 100 * max(entries) < REQUIRED_ROW_ENTRY_BUDGET
 
 
 # --- two-lines cover ---------------------------------------------------------------

@@ -1,16 +1,21 @@
 """The per-dilation gap kernel and the sweeps built on it: covers, the AP
-test, the half-interval fit, the half-window search and its memory bound,
+test, the half-window fit, the half-window search and its memory bound,
 checked against brute-force oracles and their tie-breaks."""
 
 import tracemalloc
 
 import numpy as np
 
-from addcomb import bits
+from addcomb import bits, residues, spectral
 from addcomb.covering import is_arithmetic_progression, min_ap_cover
-from addcomb.freiman import _half_interval_dilation
 from addcomb.primes import primes_upto
-from addcomb.residues import CHUNK_ELEMENTS, ResidueSet, dilation_gaps
+from addcomb.residues import (
+    CHUNK_ELEMENTS,
+    ResidueSet,
+    dilation_gaps,
+    half_units,
+    half_window_fit,
+)
 from addcomb.spectral import best_half_window
 from conftest import brute_min_cover, brute_window_max
 
@@ -168,7 +173,7 @@ def test_half_interval_dilation_composite(rng):
     for _ in range(100):
         n = rng.randrange(2, 40)
         els = rng.sample(range(n), rng.randrange(1, n + 1))
-        found = _half_interval_dilation(rs(n, els))
+        found = half_window_fit(els, n, half_units(n))
         w = (n + 1) // 2
         fits = [
             (d, u)
@@ -195,3 +200,82 @@ def test_best_half_window_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def check_window(p, els):
+    w = best_half_window(rs(p, els))
+    assert (len(w), w.d, w.u) == brute_window_max(els, p)
+    return w
+
+
+def scaled(p, els, m):
+    return sorted({x * m % p for x in els})
+
+
+def no_member_sweep(*args):
+    raise AssertionError("member sweep reached although a dilate fits")
+
+
+def test_window_first_fit_in_a_later_chunk(monkeypatch):
+    # seven elements a chunk: one row each, so d = 1 and d = 2 (which do not
+    # fit) are swept in chunks before the fitting row d = 3
+    p = 31
+    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(spectral, "_member_window_counts", no_member_sweep)
+    els = scaled(p, [0, 1, 2, 3, 5, 8, 15], pow(3, -1, p))
+    fits = [m for m in range(1, p // 2 + 1) if half_window_fit(els, p, [m])]
+    assert fits[0] == 3
+    assert half_window_fit(els, p, half_units(p)) == half_window_fit(els, p, [3])
+    assert check_window(p, els).d == 3
+
+
+def test_window_smallest_of_several_fitting_dilations(monkeypatch, rng):
+    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    monkeypatch.setattr(spectral, "_member_window_counts", no_member_sweep)
+    for _ in range(40):
+        p = rng.choice([17, 19, 23, 29])
+        # an AP of step s fits its window after dilation by 1/s and by the
+        # multiples 2/s, 3/s, ... while the image stays short enough
+        k = rng.randrange(2, p // 6 + 2)
+        step = rng.randrange(1, p)
+        els = sorted({(rng.randrange(p) + i * step) % p for i in range(k)})
+        fits = [m for m in range(1, p // 2 + 1) if half_window_fit(els, p, [m])]
+        assert len(fits) >= 2
+        assert check_window(p, els).d == fits[0]
+
+
+def test_window_span_at_and_just_past_half(monkeypatch, rng):
+    for p in (11, 13, 29, 101):
+        w = (p + 1) // 2
+        for _ in range(10):
+            m = rng.randrange(1, p)
+            inner = rng.sample(range(1, w - 1), rng.randrange(0, w - 2))
+            exact = scaled(p, [0, w - 1, *inner], m)  # span exactly w
+            with monkeypatch.context() as patched:
+                patched.setattr(spectral, "_member_window_counts", no_member_sweep)
+                win = check_window(p, exact)
+            assert len(win) == len(exact)
+            over = scaled(p, [0, w, *inner], m)  # span w + 1
+            check_window(p, over)
+
+
+def test_window_no_dilate_fits(monkeypatch, rng):
+    calls = []
+    sweep = spectral._member_window_counts
+
+    def counting(*args):
+        calls.append(1)
+        return sweep(*args)
+
+    monkeypatch.setattr(spectral, "_member_window_counts", counting)
+    below_half = 0
+    for _ in range(60):
+        p = rng.choice([17, 19, 23])
+        els = rng.sample(range(p), rng.randrange(3, p + 1))
+        if half_window_fit(els, p, half_units(p)) is not None:
+            continue
+        below_half += len(els) <= (p + 1) // 2
+        before = len(calls)
+        w = check_window(p, els)
+        assert len(w) < len(els) and len(calls) > before
+    assert below_half >= 5
