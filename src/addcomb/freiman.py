@@ -69,6 +69,11 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
     return _small_upper_pairs(k) if k <= _CACHED_PAIRS_MAX_K else np.triu_indices(k)
 
 
+# Index pairs a set may list.  The pairs, their sums and the sort take about
+# 47 bytes a pair: 98 MiB at the cap, 2^21 pairs (k = 2,047).
+PAIR_BUDGET = 1 << 21
+
+
 def _pair_classes(elems: list, modulus: int | None):
     """The pair-sum kernel: index pairs i <= j sorted by elems[i] + elems[j]
     (reduced mod modulus unless it is None), as arrays (first, second, same)
@@ -77,7 +82,14 @@ def _pair_classes(elems: list, modulus: int | None):
     Elements are ints or equal-length int tuples (points of Z^d, added
     coordinatewise, sums compared lexicographically).  Sums are exact: int64
     while every coordinate is below 2^62 in size, Python ints past that.
+    Past PAIR_BUDGET pairs it raises SearchRangeError before building any.
     """
+    pairs = len(elems) * (len(elems) + 1) // 2
+    if pairs > PAIR_BUDGET:
+        raise SearchRangeError(
+            f"{len(elems)} elements make {pairs} index pairs, past the budget "
+            f"of {PAIR_BUDGET}"
+        )
     try:
         v = np.array(elems, dtype=np.int64)
         if np.abs(v).view(np.uint64).max(initial=0) >> 62:
@@ -128,32 +140,14 @@ def required_spanning_rows(obj) -> np.ndarray:
     return _spanning_rows(*_pair_classes(elems, mod), len(elems))
 
 
-def _certified_nullspace(
-    rows: np.ndarray, k: int, selected: list[int] | None = None
-) -> tuple[tuple[Fraction, ...], ...]:
-    """Rational basis of the nullspace of required-relation rows: the
-    standard free-variable basis of the row space's RREF.  The RREF of a row
-    space is unique, so any spanning rows give the same basis.
-
-    A mod-q elimination picks candidate independent rows (independence mod q
-    certifies independence over Q) unless `selected` already holds them;
-    their rational nullspace is computed exactly and every row is checked to
-    be orthogonal to it, which certifies it spans the full row space.  A
-    violator joins the selection and the loop repeats (rare).
-    """
-    if selected is None:
-        _, selected = linalg.rank_mod_prime(rows, k)
-    while True:
-        basis = tuple(linalg.nullspace_basis(rows[selected].tolist(), k))
-        cleared = np.array(
-            [linalg.clear_denominators(v) for v in basis], dtype=object
-        ).T
-        if np.abs(cleared).max() >> 60 == 0:
-            cleared = cleared.astype(np.int64)  # |row . v| <= 4 max|v|
-        violators = np.flatnonzero((rows @ cleared).any(axis=1))
-        if not len(violators):
-            return basis
-        selected = [*selected, int(violators[0])]
+def _certified_nullspace(rows: np.ndarray, k: int) -> np.ndarray:
+    """Integer basis of the nullspace of required-relation rows, one vector
+    per free column: the free-variable basis of the row space's RREF (unique,
+    so any spanning rows give it), each vector divided by its gcd with its
+    free entry, the last nonzero one, positive."""
+    basis = linalg.nullspace(rows, k)
+    assert not (rows @ basis.T).any(), "nullspace check failed"
+    return basis
 
 
 @dataclass(frozen=True)
@@ -167,11 +161,17 @@ class DimensionResult:
     nullspace_basis: tuple[tuple[Fraction, ...], ...]
 
 
+def _rational(v: list[int]) -> tuple[Fraction, ...]:
+    """The RREF's basis vector: v over its free entry, its last nonzero one."""
+    free = next(x for x in reversed(v) if x)
+    return tuple(Fraction(x, free) for x in v)
+
+
 def additive_dimension(a: IntSet) -> DimensionResult:
     if len(a) < 2:
         raise UndefinedDimensionError("dimension needs at least two elements")
-    basis = _certified_nullspace(required_spanning_rows(a), len(a))
-    return DimensionResult(len(basis) - 1, len(a), basis)
+    basis = _certified_nullspace(required_spanning_rows(a), len(a)).tolist()
+    return DimensionResult(len(basis) - 1, len(a), tuple(map(_rational, basis)))
 
 
 def _dim1_by_propagation(elems: list) -> bool:
@@ -217,37 +217,27 @@ def _dim1_by_propagation(elems: list) -> bool:
     return known == k
 
 
-def _dimension(a: IntSet):
-    """(dim, rows, basis) of a set of at least two elements: its required
-    rows and their certified nullspace, each None where dim was settled
-    without it.
-
-    Past 45 elements the propagation goes first.  The rank is Bareiss up to
-    45 columns; past that, the constant and identity vectors always lie in
-    the nullspace, so rank <= k - 2 and a mod-q rank (a certified lower
-    bound) hitting that ceiling is already exact; otherwise the certified
-    nullspace decides."""
+def _dimension(a: IntSet) -> tuple[int, np.ndarray | None]:
+    """(dim, basis) of a set of at least two elements: its certified
+    nullspace basis, or None where propagation (tried first past 45
+    elements, before any row is built) settled dim = 1."""
     k = len(a)
     if k > 45 and _dim1_by_propagation(list(a.elements)):
-        return 1, None, None
-    rows = required_spanning_rows(a)
-    if not len(rows):
-        return k - 1, rows, None
-    if k <= 45:
-        return k - 1 - linalg.rank_int_rows(rows, k), rows, None
-    r_q, selected = linalg.rank_mod_prime(rows, k)
-    if r_q >= k - 2:
-        return 1, rows, None
-    basis = _certified_nullspace(rows, k, selected)
-    return len(basis) - 1, rows, basis
+        return 1, None
+    basis = _certified_nullspace(required_spanning_rows(a), k)
+    return len(basis) - 1, basis
 
 
 def additive_dimension_value(a: IntSet) -> int:
-    """Dimension without materializing the nullspace where it can (engine
-    hot path)."""
-    if len(a) < 2:
+    """Dimension from the rank alone, propagation first past 45 elements
+    (engine hot path)."""
+    k = len(a)
+    if k < 2:
         raise UndefinedDimensionError("dimension needs at least two elements")
-    return _dimension(a)[0]
+    if k > 45 and _dim1_by_propagation(list(a.elements)):
+        return 1
+    rows = required_spanning_rows(a)
+    return k - 1 - (linalg.rank_int_rows(rows, k) if len(rows) else 0)
 
 
 def dimension_lower_bound_check(a: IntSet) -> bool:
@@ -258,7 +248,7 @@ def dimension_lower_bound_check(a: IntSet) -> bool:
 
 
 def _class_table(elems: list, modulus: int | None):
-    """(table, profiles): table[i][j] is the sum class of elems[i] + elems[j],
+    """(table, profiles): table[i, j] is the sum class of elems[i] + elems[j],
     classes numbered in sum order, and profiles[i] the sorted sizes (pairs
     i <= j) of the classes in row i."""
     first, second, same = _pair_classes(elems, modulus)
@@ -267,7 +257,12 @@ def _class_table(elems: list, modulus: int | None):
     table[first, second] = ids
     table[second, first] = ids
     profiles = np.sort(np.bincount(ids)[table], axis=1).tolist()
-    return table.tolist(), list(map(tuple, profiles))
+    return table, list(map(tuple, profiles))
+
+
+# Candidate images is_freiman_isomorphic may try before it gives up; each
+# costs one class check per assigned element.
+ISO_CANDIDATE_BUDGET = 1 << 16
 
 
 def is_freiman_isomorphic(a, b) -> bool:
@@ -276,7 +271,8 @@ def is_freiman_isomorphic(a, b) -> bool:
     Backtracking over candidate images, pruned by per-element relation
     profiles (the sorted sizes of the classes an element's pair sums fall
     in) and an incrementally maintained bijection between the realized sum
-    classes of the two sides.
+    classes of the two sides.  Past ISO_CANDIDATE_BUDGET tried images it
+    gives up with SearchRangeError.
     """
     ea, ma = _ground(a)
     eb, mb = _ground(b)
@@ -289,51 +285,68 @@ def is_freiman_isomorphic(a, b) -> bool:
     (ta, pa), (tb, pb) = _class_table(ea, ma), _class_table(eb, mb)
     if sorted(pa) != sorted(pb):
         return False
+    # profiles as their ranks, which compare in O(1) and sort the same
+    rank = {p: r for r, p in enumerate(sorted(set(pa)))}
+    pa, pb = [rank[p] for p in pa], [rank[p] for p in pb]
 
     order = sorted(range(k), key=lambda i: (pa[i], i))
     class_ab: dict = {}
     class_ba: dict = {}
     image = [None] * k
     used = [False] * k
-
-    def assign(depth: int) -> bool:
+    # per assigned depth: the next candidate to try there and the class pairs
+    # its current image added
+    nexts: list[int] = [0]
+    added: list[list] = []
+    tried = 0
+    while nexts:
+        depth = len(nexts) - 1
         if depth == k:
             return True
         i = order[depth]
-        for j in range(k):
-            if used[j] or pa[i] != pb[j]:
-                continue
-            added = []
-            ok = True
-            for t in order[: depth + 1]:
-                if image[t] is None and t != i:
-                    continue
-                jt = j if t == i else image[t]
-                ca, cb = ta[i][t], tb[j][jt]
-                if ca in class_ab:
-                    if class_ab[ca] != cb:
-                        ok = False
-                        break
-                elif cb in class_ba:
-                    ok = False
-                    break
-                else:
-                    class_ab[ca] = cb
-                    class_ba[cb] = ca
-                    added.append((ca, cb))
-            if ok:
-                image[i] = j
-                used[j] = True
-                if assign(depth + 1):
-                    return True
-                image[i] = None
-                used[j] = False
-            for ca, cb in added:
+        if image[i] is not None:  # back from a failed subtree: undo
+            used[image[i]] = False
+            image[i] = None
+            for ca, cb in added.pop():
                 del class_ab[ca]
                 del class_ba[cb]
-        return False
-
-    return assign(0)
+        j = next(
+            (j for j in range(nexts[-1], k) if not used[j] and pa[i] == pb[j]), None
+        )
+        if j is None:
+            nexts.pop()
+            continue
+        nexts[-1] = j + 1
+        tried += 1
+        if tried > ISO_CANDIDATE_BUDGET:
+            raise SearchRangeError(
+                f"the isomorphism test takes more than {ISO_CANDIDATE_BUDGET} "
+                "candidate images"
+            )
+        new = []
+        row_a, row_b = ta[i].tolist(), tb[j].tolist()
+        for t in order[: depth + 1]:
+            jt = j if t == i else image[t]
+            ca, cb = row_a[t], row_b[jt]
+            if ca in class_ab:
+                if class_ab[ca] != cb:
+                    break
+            elif cb in class_ba:
+                break
+            else:
+                class_ab[ca] = cb
+                class_ba[cb] = ca
+                new.append((ca, cb))
+        else:
+            image[i] = j
+            used[j] = True
+            added.append(new)
+            nexts.append(0)
+            continue
+        for ca, cb in new:
+            del class_ab[ca]
+            del class_ba[cb]
+    return False
 
 
 def _separating_nullspace(elems: list, modulus: int | None):
@@ -346,12 +359,11 @@ def _separating_nullspace(elems: list, modulus: int | None):
     distinct.
     """
     first, second, same = _pair_classes(elems, modulus)
-    rows = _spanning_rows(first, second, same, len(elems))
-    basis = [linalg.clear_denominators(v) for v in _certified_nullspace(rows, len(elems))]
+    basis = _certified_nullspace(_spanning_rows(first, second, same, len(elems)), len(elems))
     new = np.concatenate(([True], ~same))
     reps = list(zip(first[new].tolist(), second[new].tolist()))
-    vectors = {tuple(b[i] + b[j] for b in basis) for i, j in reps}
-    return (basis, reps) if len(vectors) == len(reps) else None
+    values = (basis[:, first[new]] + basis[:, second[new]]).tolist()
+    return (basis.tolist(), reps) if len(set(zip(*values))) == len(reps) else None
 
 
 def is_rectifiable(a: ResidueSet) -> bool:
@@ -445,27 +457,17 @@ def affine_extension(points, phi) -> AffineMap:
         raise NotFullDimensionalError("empty point set")
     d = len(pts[0])
     base = pts[0]
-    diffs = [[p[i] - base[i] for i in range(d)] for p in pts[1:]]
-    chosen: list[int] = []
-    echelon: list[list[int]] = []
-    for idx, row in enumerate(diffs):
-        reduced = linalg._reduce_against(row, echelon)
-        if any(reduced):
-            linalg._insert_sorted(echelon, linalg._primitive(reduced))
-            chosen.append(idx + 1)
-        if len(chosen) == d:
-            break
+    # the first d differences independent of the earlier ones
+    diffs = [[x - b for x, b in zip(p, base)] for p in pts[1:]]
+    chosen, _, _ = linalg.echelon(np.array(diffs, dtype=object).T, len(diffs))
     if len(chosen) < d:
         raise NotFullDimensionalError(
             f"points span only {len(chosen)} of {d} dimensions"
         )
-    matrix = [
-        [Fraction(pts[i][c] - base[c]) for c in range(d)] for i in chosen
-    ]
-    rhs = [Fraction(phi[pts[i]] - phi[base]) for i in chosen]
-    coeffs = linalg.solve_linear(matrix, rhs)
-    if coeffs is None:
-        raise ConsistencyError("affine basis matrix unexpectedly singular")
+    system = [diffs[i] + [phi[pts[i + 1]] - phi[base]] for i in chosen]
+    pivots, reduced, det = linalg.echelon(system, d + 1)
+    assert pivots == list(range(d)), "independent differences, singular system"
+    coeffs = [Fraction(int(x), int(det)) for x in reduced[:, d]]
     offset = Fraction(phi[base]) - sum(c * x for c, x in zip(coeffs, base))
     candidate = AffineMap(tuple(coeffs), offset)
     for p in pts:
@@ -518,7 +520,6 @@ def _embedding_candidates(a: IntSet, basis):
     """Two-parallel-lines structures of the universal planar embedding read
     off the certified nullspace `basis`, cheapest total length first."""
     k = len(a)
-    basis = [linalg.clear_denominators(v) for v in basis]
     # project out the constant direction, keep the first two independent
     # vectors: w is independent of u iff a 2x2 minor on a pivot of u is nonzero
     picked: list[tuple[int, ...]] = []
@@ -590,15 +591,13 @@ def two_lines_cover(a: IntSet) -> TwoLinesCover:
         failures.append(f"|A| = {k} < 11")
     if 3 * len(two_a) > 10 * k - 21:
         failures.append(f"3|2A| = {3 * len(two_a)} > 10|A| - 21 = {10 * k - 21}")
-    dim, rows, basis = _dimension(a) if k >= 2 else (0, None, None)
+    dim, basis = _dimension(a) if k >= 2 else (0, None)
     if dim != 2:
         failures.append(f"dim = {dim} != 2")
     if failures:
         raise PreconditionFailedError("; ".join(failures))
 
-    if basis is None:
-        basis = _certified_nullspace(rows, k)
-    pts, candidates = _embedding_candidates(a, basis)
+    pts, candidates = _embedding_candidates(a, basis.tolist())
     elems = list(a.elements)
     phi = {pts[i]: elems[i] for i in range(k)}
     ell = affine_extension(pts, phi) if candidates else None

@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import bits
-from .errors import ConsistencyError, HypothesisNotMetError
+from .errors import ConsistencyError, HypothesisNotMetError, SearchRangeError
+from .residues import MAX_MODULUS
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,13 @@ def normal_form(a: IntSet) -> IntSet:
 
 
 def sumset(a: IntSet) -> IntSet:
-    """A + A over Z via one shift-OR pass on a translated bitmask."""
+    """A + A over Z via one shift-OR pass on a translated bitmask, for spans
+    below the residue literals' cap MAX_MODULUS (SearchRangeError past it)."""
     shift = a.min()
+    if a.max() - shift >= MAX_MODULUS:
+        raise SearchRangeError(
+            f"span {a.max() - shift} of the integer set reaches the cap {MAX_MODULUS}"
+        )
     mask = bits.mask_of((e - shift for e in a.elements), a.max() - shift + 1)
     out = 0
     for e in a.elements:

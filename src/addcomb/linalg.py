@@ -1,195 +1,89 @@
-"""Exact linear algebra over Z and Q for relation systems.
+"""Exact linear algebra over Z: one fraction-free Gauss–Jordan kernel.
 
-Verdicts in the structure module must be exact, so everything here is
-integer or Fraction arithmetic.  The rank path uses fraction-free (Bareiss)
-elimination; with rows of entries in {-2..2} and at most 45 columns every
-intermediate value is a minor bounded by Hadamard's inequality at ~3.5e15,
-comfortably inside int64, which lets numpy do the bulk updates.
+Verdicts in the structure module must be exact, so `echelon` eliminates
+without fractions (Bareiss 1968, carried through as Gauss–Jordan): at each
+pivot every other row becomes (piv * row - row[col] * pivot_row) / D with D
+the previous pivot, an exact division, so every entry is an integer minor of
+the input and every pivot row ends with the same pivot D.  Ranks,
+nullspaces and square solves all read that one reduced form.
+
+It runs in int64 while it provably cannot overflow.  A step forms
+a * piv - b * c from minors of order at most s, which Hadamard's inequality
+bounds by H_s, the largest row norm to the power s; so the first s steps are
+exact while 2 * H_s^2 < 2^63, and their results stay below 2^31.  Rows of
+squared norm at most 8 (the required relations) give 20 such steps.  After
+them each pivot checks that every entry is below 2^31, which keeps the
+products exact, and switches the matrix to Python ints if one is not.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-_BAREISS_MAX_COLS = 45
+_ENTRY_LIMIT = 1 << 31
 
 
-def rank_int_rows(rows: np.ndarray, ncols: int) -> int:
-    """Exact rank of an (R, ncols) integer array with entries in -2..2 and
-    at most 45 columns, the bounds that keep Bareiss exact in int64."""
-    m = np.array(rows, dtype=np.int64)
-    if not len(m):
+def _hadamard_steps(m: np.ndarray) -> int:
+    """Pivot steps int64 provably survives: s with maxsq^s < 2^62, maxsq
+    the largest squared row norm (0 unless every entry is below 2^16, so
+    that the squared norms fit)."""
+    if m.dtype == object or not m.size or np.abs(m).max() >> 16:
         return 0
-    if ncols > _BAREISS_MAX_COLS or np.abs(m).max() > 2:
-        raise ValueError(
-            f"rank_int_rows needs at most {_BAREISS_MAX_COLS} columns and "
-            "entries in -2..2"
-        )
-    nrows = m.shape[0]
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if len(pivots) == 0:
-            continue
-        pr = rank + pivots[0]
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-        piv = m[rank, col]
-        below = m[rank + 1 :]
-        if below.size:
-            m[rank + 1 :] = (below * piv - below[:, col, None] * m[rank]) // prev
-        prev = piv
-        rank += 1
-        if rank == nrows:
-            break
-    assert np.abs(m).max(initial=0) < (1 << 62), "Bareiss overflow guard"
-    return rank
+    maxsq = int((m * m).sum(axis=1).max())
+    steps, bound = 0, maxsq
+    while steps < m.shape[1] and bound < 1 << 62:
+        steps += 1
+        bound *= maxsq
+    return steps
 
 
-_RANK_PRIME = 2147483647  # elimination entries stay below 2^62 in int64
-
-
-def rank_mod_prime(rows: np.ndarray, ncols: int) -> tuple[int, list[int]]:
-    """Row rank over GF(q) of an (R, ncols) integer array plus the indices
-    of an independent row subset.
-
-    Rows independent mod q are independent over Q, so this is a certified
-    lower bound on the rational rank (and the subset is a certified
-    independent set)."""
-    q = _RANK_PRIME
-    m = np.asarray(rows, dtype=np.int64) % q
-    nrows = m.shape[0]
-    order = np.arange(nrows)
-    rank = 0
-    chosen: list[int] = []
-    for col in range(ncols):
-        pivots = np.nonzero(m[rank:, col])[0]
-        if len(pivots) == 0:
-            continue
-        pr = rank + int(pivots[0])
-        if pr != rank:
-            m[[rank, pr]] = m[[pr, rank]]
-            order[[rank, pr]] = order[[pr, rank]]
-        chosen.append(int(order[rank]))
-        inv = pow(int(m[rank, col]), q - 2, q)
-        below = m[rank + 1 :]
-        if below.size:
-            factors = below[:, col] * inv % q
-            m[rank + 1 :] = (below - factors[:, None] * m[rank]) % q
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, chosen
-
-
-def _pivot(row: list[int]) -> int:
-    for i, v in enumerate(row):
-        if v:
-            return i
-    return -1
-
-
-def _primitive(row: list[int]) -> list[int]:
-    from math import gcd
-
-    g = 0
-    for v in row:
-        g = gcd(g, v)
-    if g > 1:
-        row = [v // g for v in row]
-    p = _pivot(row)
-    if p >= 0 and row[p] < 0:
-        row = [-v for v in row]
-    return row
-
-
-def _reduce_against(row: list[int], basis: list[list[int]]) -> list[int]:
-    # basis rows are sorted by pivot and zero before their pivot, so one
-    # ascending pass fully eliminates; cross-multiplication keeps it integral
-    # (scale does not matter for membership / rank).
-    r = list(row)
-    for b in basis:
-        p = _pivot(b)
-        if r[p] == 0:
-            continue
-        rp, bp = r[p], b[p]
-        r = [x * bp - y * rp for x, y in zip(r, b)]
-    return r
-
-
-def _insert_sorted(basis: list[list[int]], row: list[int]) -> None:
-    # after reduction the new pivot column is distinct from all existing ones
-    p = _pivot(row)
-    i = 0
-    while i < len(basis) and _pivot(basis[i]) < p:
-        i += 1
-    assert i == len(basis) or _pivot(basis[i]) != p
-    basis.insert(i, row)
-
-
-def nullspace_basis(rows: list[list[int]], ncols: int) -> list[tuple[Fraction, ...]]:
-    """Rational basis of {v : R v = 0}, via reduced row echelon form.
-
-    Deterministic: the standard free-variable basis of the RREF, free columns
-    ascending.
-    """
-    rref: list[list[Fraction]] = []
+def echelon(rows, ncols: int) -> tuple[list[int], np.ndarray, int]:
+    """(pivots, reduced, D): the pivot columns of an integer matrix, its
+    reduced rows (one per pivot, D at their own pivot, 0 at the others) and
+    D; reduced / D is the reduced row echelon form.  D is 1 when there is
+    no pivot.  The rows are int64 with entries below 2^31, or Python ints."""
+    try:
+        m = np.array(rows, dtype=np.int64).reshape(len(rows), ncols)
+    except OverflowError:
+        m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    safe = _hadamard_steps(m)
     pivots: list[int] = []
-    for row in rows:
-        r = [Fraction(v) for v in row]
-        for pr, pc in zip(rref, pivots):
-            if r[pc]:
-                f = r[pc]
-                r = [x - f * y for x, y in zip(r, pr)]
-        pc = next((i for i, v in enumerate(r) if v), None)
-        if pc is None:
+    d = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
+        nonzero = m[rank:, col].nonzero()[0]
+        if not len(nonzero):
             continue
-        r = [x / r[pc] for x in r]
-        for pr, c in zip(rref, pivots):
-            if pr[pc]:
-                f = pr[pc]
-                pr[:] = [x - f * y for x, y in zip(pr, r)]
-        rref.append(r)
-        pivots.append(pc)
-    order = sorted(range(len(pivots)), key=lambda i: pivots[i])
-    rref = [rref[i] for i in order]
-    pivots = [pivots[i] for i in order]
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for pr, pc in zip(rref, pivots):
-            v[pc] = -pr[fc]
-        basis.append(tuple(v))
-    return basis
+        if nonzero[0]:
+            m[[rank, rank + nonzero[0]]] = m[[rank + nonzero[0], rank]]
+        if rank >= safe and m.dtype != object and max(m.max(), -m.min()) >= _ENTRY_LIMIT:
+            m = m.astype(object)
+        pivot_row = m[rank]
+        piv = pivot_row[col]
+        m = (piv * m - m[:, col, None] * pivot_row) // d
+        m[rank] = pivot_row
+        d = piv
+        pivots.append(col)
+    m = m[: len(pivots)]
+    if len(pivots) > safe and m.dtype != object and max(m.max(), -m.min()) >= _ENTRY_LIMIT:
+        m = m.astype(object)
+    return pivots, m, d
 
 
-def clear_denominators(vec) -> tuple[int, ...]:
-    from math import lcm
-
-    denom = 1
-    for v in vec:
-        denom = lcm(denom, Fraction(v).denominator)
-    return tuple(int(Fraction(v) * denom) for v in vec)
+def rank_int_rows(rows, ncols: int) -> int:
+    """Exact rank of an integer matrix with ncols columns."""
+    return len(echelon(rows, ncols)[0])
 
 
-def solve_linear(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system exactly; None if singular."""
-    n = len(matrix)
-    aug = [list(matrix[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+def nullspace(rows, ncols: int) -> np.ndarray:
+    """Integer basis of {v : rows v = 0}, one row per free column, ascending:
+    the free-variable basis of the reduced row echelon form, divided by its
+    gcd and signed so its free entry is positive."""
+    pivots, reduced, d = echelon(rows, ncols)
+    free = np.setdiff1d(np.arange(ncols), pivots)
+    basis = np.zeros((len(free), ncols), dtype=reduced.dtype)
+    basis[np.arange(len(free)), free] = d
+    basis[:, pivots] = -reduced[:, free].T
+    return basis // np.gcd.reduce(basis, axis=1, keepdims=True) * (1 if d > 0 else -1)

@@ -120,3 +120,36 @@ def brute_pair_classes(elements, n=None):
                 s %= n
             groups.setdefault(s, []).append((i, j))
     return {frozenset(g) for g in groups.values()}
+
+
+def brute_nullspace(rows, ncols):
+    """(rank, pivots, basis) of an integer matrix by a plain-loop Fraction
+    RREF: basis is the free-variable basis, one vector per free column in
+    ascending order, with 1 at its free column."""
+    from fractions import Fraction
+
+    rref, pivots = [], []
+    for row in rows:
+        row = [Fraction(v) for v in row]
+        for base, col in zip(rref, pivots):
+            if row[col]:
+                factor = row[col]
+                row = [v - factor * w for v, w in zip(row, base)]
+        col = next((i for i, v in enumerate(row) if v), None)
+        if col is None:
+            continue
+        row = [v / row[col] for v in row]
+        for base in rref:
+            if base[col]:
+                factor = base[col]
+                base[:] = [v - factor * w for v, w in zip(base, row)]
+        rref.append(row)
+        pivots.append(col)
+    basis = []
+    for free in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for base, col in zip(rref, pivots):
+            v[col] = -base[free]
+        basis.append(v)
+    return len(pivots), sorted(pivots), basis

@@ -223,3 +223,37 @@ def test_dim_and_rectify_past_row_budget_exit_1_quickly(capsys):
     code, out, err = invoke(capsys, "rectify", "n=10007:" + body)
     assert time.monotonic() - started < 1.0
     assert (code, out) == (1, "") and "exceed the budget" in err
+
+
+def test_iso_of_2000_elements_answers(capsys):
+    import random
+
+    els = sorted(random.Random(2000).sample(range(10**9), 2000))
+    body = "{" + ",".join(map(str, els)) + "}"
+    assert invoke(capsys, "iso", body, body) == (0, "true\n", "")
+
+
+def test_iso_past_candidate_budget_exits_1(capsys, monkeypatch):
+    from addcomb import freiman
+
+    monkeypatch.setattr(freiman, "ISO_CANDIDATE_BUDGET", 10)
+    code, out, err = invoke(capsys, "iso", "{0,6,12,13,15,16}", "{2,3,10,12,17,20}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "candidate images" in err
+
+
+def test_dim_past_pair_budget_exits_1_quickly(capsys):
+    import time
+
+    body = "{" + ",".join(str(x * x) for x in range(2048)) + "}"
+    started = time.monotonic()
+    code, out, err = invoke(capsys, "dim", body)
+    assert time.monotonic() - started < 1.0
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "2048 elements make 2098176 index pairs" in err
+
+
+def test_integer_sumset_past_span_cap_exits_1(capsys):
+    code, out, err = invoke(capsys, "sumset", "{0,1000000000000000}")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "reaches the cap 4194304" in err

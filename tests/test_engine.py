@@ -214,6 +214,18 @@ def test_dimension_past_row_budget_falls_back(monkeypatch):
     assert t.result.witness.covers(a.elements())
 
 
+def test_pair_budget_falls_back(monkeypatch):
+    a = rs(601, list(range(60)) + list(range(200, 250)) + [301])
+    monkeypatch.setattr(freiman, "PAIR_BUDGET", 1000)
+    t = prove_cover(a)
+    assert t.branch == BRANCH_FALLBACK and t.dim_a1 is None
+    assert t.annotations["fallback_reason"] == (
+        "dimension of the captured part: 110 elements make 6105 index pairs, "
+        "past the budget of 1000"
+    )
+    assert t.result.witness.covers(a.elements())
+
+
 def test_trace_json_schema():
     t = prove_cover(rs(101, list(range(21)) + [24]))
     payload = t.to_json()

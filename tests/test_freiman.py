@@ -221,6 +221,21 @@ def test_iso_tuples_ambient():
     assert not is_freiman_isomorphic(square, IntSet.of(0, 1, 2, 3))
 
 
+def test_iso_candidate_budget_boundary(monkeypatch):
+    # the verdicts take 445 and 423 tried images: each stands at exactly its
+    # count and gives way to SearchRangeError one below it
+    for a, b, verdict, tried in (
+        ((0, 6, 12, 13, 15, 16), (2, 3, 10, 12, 17, 20), False, 445),
+        ((4, 9, 15, 20, 22, 24), (0, 7, 14, 16, 22, 24), True, 423),
+    ):
+        a, b = IntSet(a), IntSet(b)
+        monkeypatch.setattr(freiman, "ISO_CANDIDATE_BUDGET", tried)
+        assert is_freiman_isomorphic(a, b) == verdict
+        monkeypatch.setattr(freiman, "ISO_CANDIDATE_BUDGET", tried - 1)
+        with pytest.raises(SearchRangeError, match="candidate images"):
+            is_freiman_isomorphic(a, b)
+
+
 # --- rectification ---------------------------------------------------------------
 
 def test_rectifiable_examples():
@@ -290,6 +305,24 @@ def test_row_budget_boundary(monkeypatch):
         with pytest.raises(SearchRangeError, match="5 required rows of 5 entries"):
             call(arg)
     assert is_rectifiable(residues)  # the half-window fast path builds no rows
+
+
+def test_pair_budget_boundary(monkeypatch):
+    # five elements make 15 index pairs, six make 21
+    five, six = IntSet.of(0, 1, 2, 3, 5), IntSet.of(0, 1, 2, 3, 5, 8)
+    monkeypatch.setattr(freiman, "PAIR_BUDGET", 15)
+    assert additive_dimension(five).dim == 1
+    assert is_freiman_isomorphic(five, five)
+    for call, args in (
+        (additive_dimension, (six,)),
+        (additive_dimension_value, (six,)),
+        (required_spanning_rows, (six,)),
+        (is_freiman_isomorphic, (six, six)),
+        (rectify_map, (rs(101, six.elements),)),
+        (is_rectifiable, (rs(13, [0, 1, 2, 4, 7, 9]),)),
+    ):
+        with pytest.raises(SearchRangeError, match="6 elements make 21 index pairs"):
+            call(*args)
 
 
 def test_campaigns_stay_within_row_budget(monkeypatch):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb.errors import HypothesisNotMetError, LiteralError
+from addcomb.errors import HypothesisNotMetError, LiteralError, SearchRangeError
 from addcomb.freiman import is_freiman_isomorphic
 from addcomb.intsets import (
     ApDescriptor,
@@ -135,3 +135,12 @@ def test_ap_descriptor_validation():
         ApDescriptor(0, 0, 3)
     with pytest.raises(ValueError):
         ApDescriptor(0, 1, 8, ambient=7)
+
+
+def test_sumset_span_cap_boundary():
+    from addcomb.residues import MAX_MODULUS
+
+    top = MAX_MODULUS - 1
+    assert sumset(IntSet.of(-5, top - 5)).elements == (-10, top - 10, 2 * top - 10)
+    with pytest.raises(SearchRangeError, match="reaches the cap"):
+        sumset(IntSet.of(-5, top - 4))

@@ -20,3 +20,21 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"addcomb.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_campaigns_reach_the_traced_rank(monkeypatch):
+    # the benchmark's linalg.rank_int_rows metrics read 0 if the campaigns
+    # stop calling it by that name
+    from addcomb import linalg
+    from addcomb.search import run_suite
+
+    calls = []
+    rank = linalg.rank_int_rows
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank_int_rows", counting)
+    run_suite("dim_bound", limit=8)
+    assert len(calls) > 0
