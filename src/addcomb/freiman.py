@@ -74,37 +74,48 @@ def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
 PAIR_BUDGET = 1 << 21
 
 
-def _pair_classes(elems: list, modulus: int | None):
+def _exact_array(values) -> np.ndarray:
+    """values as int64 while every coordinate is below 2^62 in size, so
+    that pair sums stay exact, and as Python ints past that."""
+    try:
+        v = np.array(values, dtype=np.int64)
+        if np.abs(v).view(np.uint64).max(initial=0) >> 62:
+            raise OverflowError
+    except OverflowError:
+        v = np.array(values, dtype=object)
+    return v
+
+
+def _pair_classes(elems, modulus: int | None):
     """The pair-sum kernel: index pairs i <= j sorted by elems[i] + elems[j]
     (reduced mod modulus unless it is None), as arrays (first, second, same)
     where same[t] says pairs t and t + 1 share their sum.
 
-    Elements are ints or equal-length int tuples (points of Z^d, added
-    coordinatewise, sums compared lexicographically).  Sums are exact: int64
-    while every coordinate is below 2^62 in size, Python ints past that.
-    Past PAIR_BUDGET pairs it raises SearchRangeError before building any.
+    elems is one set, a list of ints or of equal-length int tuples (points
+    of Z^d, added coordinatewise, sums compared lexicographically), or a
+    stack of N integer sets of one size as an (N, k) numpy array; a stack
+    gets one such row of pairs per set, along the last axis.  Sums are
+    exact (see _exact_array).  Past PAIR_BUDGET pairs a set it raises
+    SearchRangeError before building any.
     """
-    pairs = len(elems) * (len(elems) + 1) // 2
+    stacked = isinstance(elems, np.ndarray)
+    k = elems.shape[-1] if stacked else len(elems)
+    pairs = k * (k + 1) // 2
     if pairs > PAIR_BUDGET:
         raise SearchRangeError(
-            f"{len(elems)} elements make {pairs} index pairs, past the budget "
+            f"{k} elements make {pairs} index pairs, past the budget "
             f"of {PAIR_BUDGET}"
         )
-    try:
-        v = np.array(elems, dtype=np.int64)
-        if np.abs(v).view(np.uint64).max(initial=0) >> 62:
-            raise OverflowError
-    except OverflowError:
-        v = np.array(elems, dtype=object)
-    i, j = _upper_pairs(len(elems))
-    sums = v[i] + v[j]
+    v = _exact_array(elems)
+    i, j = _upper_pairs(k)
+    sums = v[..., i] + v[..., j] if stacked else v[i] + v[j]
     if modulus is not None:
         sums %= modulus
-    if sums.ndim > 1:
+    if sums.ndim > 1 and not stacked:
         sums = np.fromiter(map(tuple, sums.tolist()), dtype=object, count=len(sums))
-    order = np.argsort(sums, kind="stable")
-    sums = sums[order]
-    return i[order], j[order], sums[1:] == sums[:-1]
+    order = np.argsort(sums, axis=-1, kind="stable")
+    sums = np.take_along_axis(sums, order, axis=-1)
+    return i[order], j[order], sums[..., 1:] == sums[..., :-1]
 
 
 # Required-row entries R * k a set may build: 16 MiB of int64 rows.  The rank
@@ -115,23 +126,30 @@ REQUIRED_ROW_ENTRY_BUDGET = 1 << 21
 
 def _spanning_rows(first, second, same, k: int) -> np.ndarray:
     """Consecutive pairs of each sum class, as (R, k) int64 rows
-    e_i + e_j - e_i' - e_j'.  Two pairs with one sum share no index, so the
-    entries stay in -2..2; every quadruple row of a class is a difference of
-    its chained rows, so the chain spans the class.  Past
-    REQUIRED_ROW_ENTRY_BUDGET entries it raises SearchRangeError."""
-    t = np.flatnonzero(same)
-    if len(t) * k > REQUIRED_ROW_ENTRY_BUDGET:
+    e_i + e_j - e_i' - e_j'; for a stack from _pair_classes, an (N, R, k)
+    array with R the most rows of any set and zero rows after each set's
+    own.  Two pairs with one sum share no index, so the entries stay in
+    -2..2; every quadruple row of a class is a difference of its chained
+    rows, so the chain spans the class.  Past REQUIRED_ROW_ENTRY_BUDGET
+    entries for one set it raises SearchRangeError."""
+    one = same.ndim == 1
+    first, second, same = np.atleast_2d(first, second, same)
+    n, t = np.nonzero(same)
+    counts = np.bincount(n, minlength=len(same))
+    most = int(counts.max(initial=0))
+    if most * k > REQUIRED_ROW_ENTRY_BUDGET:
         raise SearchRangeError(
-            f"{len(t)} required rows of {k} entries exceed the budget of "
+            f"{most} required rows of {k} entries exceed the budget of "
             f"{REQUIRED_ROW_ENTRY_BUDGET} row entries"
         )
-    r = np.arange(len(t))
-    rows = np.zeros((len(t), k), dtype=np.int64)
-    rows[r, first[t]] = 1
-    rows[r, second[t]] += 1
-    rows[r, first[t + 1]] = -1
-    rows[r, second[t + 1]] -= 1
-    return rows
+    # each set's rows in the order of its classes
+    r = np.arange(len(t)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.zeros((len(same), most, k), dtype=np.int64)
+    rows[n, r, first[n, t]] = 1
+    rows[n, r, second[n, t]] += 1
+    rows[n, r, first[n, t + 1]] = -1
+    rows[n, r, second[n, t + 1]] -= 1
+    return rows[0] if one else rows
 
 
 def required_spanning_rows(obj) -> np.ndarray:
@@ -187,10 +205,12 @@ def _dim1_by_propagation(elems: list) -> bool:
     if k == 2:
         return True
     first, second, same = _pair_classes(elems, None)
-    pairs = list(zip(first.tolist(), second.tolist()))
-    cuts = [0, *(np.flatnonzero(~same) + 1).tolist(), len(pairs)]
-    # a class of one pair pins nothing
-    classes = [pairs[s:e] for s, e in zip(cuts, cuts[1:]) if e - s > 1]
+    # a class of one pair pins nothing: keep the pairs sharing their sum
+    keep = np.concatenate((same, [False])) | np.concatenate(([False], same))
+    starts = np.concatenate(([True], ~same))[keep]
+    pairs = list(zip(first[keep].tolist(), second[keep].tolist()))
+    cuts = [*np.flatnonzero(starts).tolist(), len(pairs)]
+    classes = [pairs[s:e] for s, e in zip(cuts, cuts[1:])]
     f: list = [None] * k
     f[0], f[1] = 0, 1
     known = 2
@@ -228,6 +248,21 @@ def _dimension(a: IntSet) -> tuple[int, np.ndarray | None]:
     return len(basis) - 1, basis
 
 
+def additive_dimensions(sets) -> np.ndarray:
+    """Additive dimensions of N integer sets of one size k >= 2, given as an
+    (N, k) array: k - 1 minus the rank of each set's required rows, with
+    the N sets ranked in one stacked elimination.  The row budget holds
+    for each set."""
+    sets = _exact_array(sets)
+    k = sets.shape[-1]
+    if k < 2:
+        raise UndefinedDimensionError("dimension needs at least two elements")
+    rows = _spanning_rows(*_pair_classes(sets, None), k)
+    if not rows.shape[1]:  # no relations: no rank to take
+        return np.full(len(rows), k - 1)
+    return k - 1 - linalg.rank_int_rows(rows, k)
+
+
 def additive_dimension_value(a: IntSet) -> int:
     """Dimension from the rank alone, propagation first past 45 elements
     (engine hot path)."""
@@ -236,28 +271,33 @@ def additive_dimension_value(a: IntSet) -> int:
         raise UndefinedDimensionError("dimension needs at least two elements")
     if k > 45 and _dim1_by_propagation(list(a.elements)):
         return 1
-    rows = required_spanning_rows(a)
-    return k - 1 - (linalg.rank_int_rows(rows, k) if len(rows) else 0)
+    return int(additive_dimensions([a.elements])[0])
+
+
+def dimension_lower_bound(k, d):
+    """(d + 1)k - C(d + 1, 2): the fewest sums a k-element set of dimension
+    d can have (elementwise on arrays)."""
+    return (d + 1) * k - (d + 1) * d // 2
 
 
 def dimension_lower_bound_check(a: IntSet) -> bool:
     """|2A| >= (d+1)|A| - C(d+1, 2) with d the exact dimension.  Always true;
     exercised exhaustively by the verification suites."""
-    d = additive_dimension_value(a)
-    return len(int_sumset(a)) >= (d + 1) * len(a) - (d + 1) * d // 2
+    return len(int_sumset(a)) >= dimension_lower_bound(len(a), additive_dimension_value(a))
 
 
 def _class_table(elems: list, modulus: int | None):
     """(table, profiles): table[i, j] is the sum class of elems[i] + elems[j],
     classes numbered in sum order, and profiles[i] the sorted sizes (pairs
-    i <= j) of the classes in row i."""
+    i <= j) of the classes in row i as one big-endian byte string, so that
+    profiles compare bytewise as the size rows do lexicographically."""
     first, second, same = _pair_classes(elems, modulus)
     ids = np.concatenate(([0], np.cumsum(~same)))
     table = np.empty((len(elems), len(elems)), dtype=np.intp)
     table[first, second] = ids
     table[second, first] = ids
-    profiles = np.sort(np.bincount(ids)[table], axis=1).tolist()
-    return table, list(map(tuple, profiles))
+    sizes = np.sort(np.bincount(ids)[table], axis=1).astype(">u4")  # <= PAIR_BUDGET
+    return table, sizes.view(f"V{sizes.itemsize * len(elems)}").ravel()
 
 
 # Candidate images is_freiman_isomorphic may try before it gives up; each
@@ -271,8 +311,8 @@ def is_freiman_isomorphic(a, b) -> bool:
     Backtracking over candidate images, pruned by per-element relation
     profiles (the sorted sizes of the classes an element's pair sums fall
     in) and an incrementally maintained bijection between the realized sum
-    classes of the two sides.  Past ISO_CANDIDATE_BUDGET tried images it
-    gives up with SearchRangeError.
+    classes of the two sides, held as two class-indexed arrays.  Past
+    ISO_CANDIDATE_BUDGET tried images it gives up with SearchRangeError.
     """
     ea, ma = _ground(a)
     eb, mb = _ground(b)
@@ -283,33 +323,34 @@ def is_freiman_isomorphic(a, b) -> bool:
         return True
 
     (ta, pa), (tb, pb) = _class_table(ea, ma), _class_table(eb, mb)
+    # profiles as their ranks among both sides' profiles, which compare in
+    # O(1) and sort the same
+    ranks = np.unique(np.concatenate((pa, pb)), return_inverse=True)[1]
+    pa, pb = ranks[:k].tolist(), ranks[k:].tolist()
     if sorted(pa) != sorted(pb):
         return False
-    # profiles as their ranks, which compare in O(1) and sort the same
-    rank = {p: r for r, p in enumerate(sorted(set(pa)))}
-    pa, pb = [rank[p] for p in pa], [rank[p] for p in pb]
 
     order = sorted(range(k), key=lambda i: (pa[i], i))
-    class_ab: dict = {}
-    class_ba: dict = {}
-    image = [None] * k
+    in_order = np.array(order)
+    placed = np.empty(k, dtype=np.intp)  # placed[d]: the image of order[d]
+    # the bijection between realized classes, -1 where a class is unmatched
+    class_ab = np.full(int(ta.max()) + 1, -1)
+    class_ba = np.full(int(tb.max()) + 1, -1)
     used = [False] * k
-    # per assigned depth: the next candidate to try there and the class pairs
-    # its current image added
+    # per depth: the next candidate to try there; per assigned depth: the
+    # class pairs its current image added
     nexts: list[int] = [0]
-    added: list[list] = []
+    added: list[tuple[np.ndarray, np.ndarray]] = []
     tried = 0
     while nexts:
         depth = len(nexts) - 1
         if depth == k:
             return True
         i = order[depth]
-        if image[i] is not None:  # back from a failed subtree: undo
-            used[image[i]] = False
-            image[i] = None
-            for ca, cb in added.pop():
-                del class_ab[ca]
-                del class_ba[cb]
+        if len(added) > depth:  # back from a failed subtree: undo
+            used[placed[depth]] = False
+            ca, cb = added.pop()
+            class_ab[ca] = class_ba[cb] = -1
         j = next(
             (j for j in range(nexts[-1], k) if not used[j] and pa[i] == pb[j]), None
         )
@@ -323,29 +364,18 @@ def is_freiman_isomorphic(a, b) -> bool:
                 f"the isomorphism test takes more than {ISO_CANDIDATE_BUDGET} "
                 "candidate images"
             )
-        new = []
-        row_a, row_b = ta[i].tolist(), tb[j].tolist()
-        for t in order[: depth + 1]:
-            jt = j if t == i else image[t]
-            ca, cb = row_a[t], row_b[jt]
-            if ca in class_ab:
-                if class_ab[ca] != cb:
-                    break
-            elif cb in class_ba:
-                break
-            else:
-                class_ab[ca] = cb
-                class_ba[cb] = ca
-                new.append((ca, cb))
-        else:
-            image[i] = j
+        # the classes of i's sums with the assigned elements and of j's with
+        # their images; each side's are distinct, since its elements are
+        placed[depth] = j
+        ca, cb = ta[i, in_order[: depth + 1]], tb[j, placed[: depth + 1]]
+        have = class_ab[ca]
+        fresh = have < 0
+        if (have[~fresh] == cb[~fresh]).all() and (class_ba[cb[fresh]] < 0).all():
+            ca, cb = ca[fresh], cb[fresh]
+            class_ab[ca], class_ba[cb] = cb, ca
             used[j] = True
-            added.append(new)
+            added.append((ca, cb))
             nexts.append(0)
-            continue
-        for ca, cb in new:
-            del class_ab[ca]
-            del class_ba[cb]
     return False
 
 

@@ -12,6 +12,7 @@ are independent of the worker count.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -34,8 +35,8 @@ from .errors import (
     SearchRangeError,
     UnknownSuiteError,
 )
-from .freiman import additive_dimension_value, dimension_lower_bound_check
-from .intsets import IntSet, cover_3k4, sumset as int_sumset
+from .freiman import additive_dimensions, dimension_lower_bound
+from .intsets import IntSet, cover_3k4
 from .primes import is_prime, primes_upto
 from .residues import ResidueSet, affine_canonical_rows, sumset, sumset_mask
 
@@ -435,15 +436,15 @@ def _verify_one_instance(params: FamilyParams) -> dict | None:
 def _normal_form_subsets(
     limit: int, min_size: int, max_size: int, cap: int | None = None
 ):
-    """All A containing 0 with gcd 1 inside [0, limit], by DFS in
-    lexicographic order; sizes in [min_size, max_size] and, given a cap,
+    """(A, |2A|) for all A containing 0 with gcd 1 inside [0, limit], by DFS
+    in lexicographic order; sizes in [min_size, max_size] and, given a cap,
     |2A| <= cap (prefix sumsets only grow, so the cap prunes)."""
     from math import gcd
 
     def rec(elements: list[int], mask: int, summask: int, g: int, nxt: int):
         size = len(elements)
         if size >= min_size and g == 1:
-            yield tuple(elements)
+            yield tuple(elements), summask.bit_count()
         if size == max_size:
             return
         # leave room for the elements still needed to reach min_size
@@ -477,15 +478,32 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
     ]
 
 
+def _dimension_stacks(limit: int, size: int, cap: int | None = None):
+    """(sets, sumset sizes, dimensions) of the normal-form sets of one size
+    in [0, limit] (with |2A| <= cap), in enumeration order, as numpy stacks
+    whose required rows hold at most CANONICAL_STEP_ENTRIES entries: an
+    integer set of k elements has at least 2k - 1 sums, so at most
+    (k - 1)(k - 2)/2 required rows."""
+    most_rows = (size - 1) * (size - 2) // 2
+    per_stack = max(1, residues.CANONICAL_STEP_ENTRIES // max(1, most_rows * size))
+    subsets = _normal_form_subsets(limit, size, size, cap)
+    while chunk := list(itertools.islice(subsets, per_stack)):
+        sets = np.array([elems for elems, _ in chunk], dtype=np.int64)
+        yield sets, np.array([two for _, two in chunk]), additive_dimensions(sets)
+
+
 def _suite_dim_bound(
     limit: int = 12, min_size: int = 2, max_size: int = 6
 ) -> tuple[int, list[dict], list[str]]:
     examined = 0
-    for elems in _normal_form_subsets(limit, min_size, max_size):
-        examined += 1
-        a = IntSet(elems)
-        if not dimension_lower_bound_check(a):
-            raise ConsistencyError(f"dimension lower bound failed on {elems}")
+    for size in range(min_size, max_size + 1):
+        for sets, two, dims in _dimension_stacks(limit, size):
+            examined += len(sets)
+            failed = np.flatnonzero(two < dimension_lower_bound(size, dims))
+            if len(failed):
+                raise ConsistencyError(
+                    f"dimension lower bound failed on {tuple(sets[failed[0]].tolist())}"
+                )
     return examined, [], [
         f"normal-form sets in [0, {limit}], sizes {min_size}..{max_size}"
     ]
@@ -494,17 +512,14 @@ def _suite_dim_bound(
 def _suite_3k4(limit: int = 15) -> tuple[int, list[dict], list[str]]:
     examined = 0
     checked = 0
-    for elems in _normal_form_subsets(limit, 1, limit + 1):
+    for elems, two in _normal_form_subsets(limit, 1, limit + 1):
         examined += 1
-        a = IntSet(elems)
-        two_a = int_sumset(a)
-        if len(two_a) > 3 * len(a) - 4:
+        if two > 3 * len(elems) - 4:
             continue
         checked += 1
-        nf_max = a.max()  # already normal form
-        if nf_max > len(two_a) - len(a):
+        if elems[-1] > two - len(elems):  # max of a normal-form set
             raise ConsistencyError(f"3k-4 bound failed on {elems}")
-        cover_3k4(a)  # also exercises the covering constructor
+        cover_3k4(IntSet(elems))  # also exercises the covering constructor
     return examined, [], [
         f"normal-form sets in [0, {limit}]; {checked} met the 3k-4 hypothesis"
     ]
@@ -527,19 +542,17 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
         if best_ratio >= Fraction(limit, size) and 4 * size > limit:
             break  # no violation possible and the ratio cannot improve
         cap = (304 * size - 300) // 100  # |2A| <= 3.04|A| - 3, exactly
-        for elems in _normal_form_subsets(limit, size, size, cap):
-            a = IntSet(elems)
-            if additive_dimension_value(a) != 1:
+        for sets, _, dims in _dimension_stacks(limit, size, cap):
+            ones = sets[dims == 1]
+            if not len(ones):
                 continue
-            examined += 1
-            ratio = Fraction(a.max(), size)
-            if ratio > best_ratio:
-                best_ratio = ratio
-                best_set = elems
-            if a.max() > 4 * size:
-                violations.append(
-                    {"set": list(elems), "max": a.max(), "size": size}
-                )
+            examined += len(ones)
+            top = ones[:, -1].argmax()  # the first set with the largest max
+            if Fraction(int(ones[top, -1]), size) > best_ratio:
+                best_ratio = Fraction(int(ones[top, -1]), size)
+                best_set = tuple(ones[top].tolist())
+            for elems in ones[ones[:, -1] > 4 * size].tolist():
+                violations.append({"set": elems, "max": elems[-1], "size": size})
     notes = [
         f"1-dimensional normal-form sets in [0, {limit}] with |2A| <= 3.04|A| - 3",
         f"empirical max of max(A)/|A|: {best_ratio} at {list(best_set or ())}",

@@ -18,9 +18,12 @@ from addcomb.errors import (
 )
 from addcomb.freiman import (
     REQUIRED_ROW_ENTRY_BUDGET,
+    _dim1_by_propagation,
     _pair_classes,
+    _spanning_rows,
     additive_dimension,
     additive_dimension_value,
+    additive_dimensions,
     affine_extension,
     dimension_lower_bound_check,
     is_freiman_isomorphic,
@@ -33,7 +36,7 @@ from addcomb.freiman import (
 )
 from addcomb.intsets import IntSet, normal_form, sumset
 from addcomb.residues import ResidueSet
-from addcomb.search import run_suite, verify_family
+from addcomb.search import _dimension_stacks, _normal_form_subsets, run_suite, verify_family
 from conftest import brute_pair_classes, brute_rectifiable
 
 small_int_sets = st.sets(st.integers(0, 40), min_size=2, max_size=8).map(
@@ -178,6 +181,48 @@ def test_dimension_of_aps_and_sidon_exhaustive():
                 assert d == k - 1
 
 
+def test_stacked_rows_are_each_sets_rows():
+    rng = random.Random(0x57AC)
+    for k in (1, 2, 5, 9):
+        sets = [sorted(rng.sample(range(-20, 3 * k), k)) for _ in range(8)]
+        stack = _spanning_rows(*_pair_classes(np.array(sets), None), k)
+        for rows, elems in zip(stack, sets):
+            own = required_spanning_rows(IntSet.from_iterable(elems))
+            assert rows[: len(own)].tolist() == own.tolist() and not rows[len(own) :].any()
+
+
+def test_stacked_dimensions_match_one_set_at_a_time():
+    # every normal-form set in [0, 12] of sizes 2..8: one stack a size, and
+    # the suites' stacks of at most CANONICAL_STEP_ENTRIES row entries
+    for size in range(2, 9):
+        sets = [elems for elems, _ in _normal_form_subsets(12, size, size)]
+        want = [additive_dimension_value(IntSet(elems)) for elems in sets]
+        assert additive_dimensions(np.array(sets)).tolist() == want
+        stacks = list(_dimension_stacks(12, size))
+        assert [tuple(x) for s, _, _ in stacks for x in s.tolist()] == sets
+        assert np.concatenate([dims for _, _, dims in stacks]).tolist() == want
+    assert additive_dimensions([[0, 1, 1 << 70, (1 << 70) + 1]]).tolist() == [2]
+
+
+def test_propagation_memory_stays_near_the_pair_kernel():
+    # only the pairs in classes of two or more become Python tuples
+    import tracemalloc
+
+    elems = sorted(random.Random(1000).sample(range(10**9), 1000))
+    tracemalloc.start()
+    try:
+        _pair_classes(elems, None)
+        kernel = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        assert not _dim1_by_propagation(elems)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * kernel
+    # every pair of a class counts: 0 + 2 = 1 + 1 pins 2, 0 + 4 = 2 + 2 pins 4
+    assert _dim1_by_propagation([0, 1, 2, 4, 8])
+
+
 @settings(max_examples=60)
 @given(small_int_sets, st.integers(1, 6), st.integers(-30, 30))
 def test_dimension_affine_invariant(a, scale, shift):
@@ -222,11 +267,14 @@ def test_iso_tuples_ambient():
 
 
 def test_iso_candidate_budget_boundary(monkeypatch):
-    # the verdicts take 445 and 423 tried images: each stands at exactly its
-    # count and gives way to SearchRangeError one below it
+    # the verdicts take 445, 423 and 17 tried images: each stands at exactly
+    # its count and gives way to SearchRangeError one below it; the last
+    # takes 19 unless a candidate whose B-side class is already matched to
+    # another class is refused at once
     for a, b, verdict, tried in (
         ((0, 6, 12, 13, 15, 16), (2, 3, 10, 12, 17, 20), False, 445),
         ((4, 9, 15, 20, 22, 24), (0, 7, 14, 16, 22, 24), True, 423),
+        ((0, 1, 4, 7, 8, 10, 14, 15, 16), (-17, -16, -15, -11, -9, -8, -5, -2, -1), True, 17),
     ):
         a, b = IntSet(a), IntSet(b)
         monkeypatch.setattr(freiman, "ISO_CANDIDATE_BUDGET", tried)
@@ -289,8 +337,11 @@ def test_row_budget_boundary(monkeypatch):
     unfit = rs(11, [0, 1, 2, 4, 7])
     assert required_spanning_rows(ints).shape == required_spanning_rows(unfit).shape
     assert required_spanning_rows(ints).shape == (5, 5)
+    # a stack holds each set to the budget: {0, 1, 3, 7, 12} has no relation
+    stack = np.array([[0, 1, 3, 7, 12], ints.elements])
     monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 25)
     assert additive_dimension(ints).dim == 1
+    assert additive_dimensions(stack).tolist() == [4, 1]
     assert not is_rectifiable(unfit)
     assert len(rectify(residues)) == 5
     monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 24)
@@ -301,6 +352,7 @@ def test_row_budget_boundary(monkeypatch):
         (two_lines_cover, ints),
         (rectify_map, residues),
         (is_rectifiable, unfit),
+        (additive_dimensions, stack),
     ):
         with pytest.raises(SearchRangeError, match="5 required rows of 5 entries"):
             call(arg)
@@ -327,12 +379,13 @@ def test_pair_budget_boundary(monkeypatch):
 
 def test_campaigns_stay_within_row_budget(monkeypatch):
     # a tripped budget raises out of the campaign, so a campaign that
-    # returns a report returns the one it would give with no budget at all
+    # returns a report returns the one it would give with no budget at all;
+    # the suites build rows for stacks of sets, each set held to the budget
     entries = []
     build = freiman._spanning_rows
 
     def recording(first, second, same, k):
-        entries.append(int(same.sum()) * k)
+        entries.append(int(same.sum(axis=-1).max()) * k)
         return build(first, second, same, k)
 
     monkeypatch.setattr(freiman, "_spanning_rows", recording)
@@ -451,5 +504,5 @@ def test_dimension_lower_bound_exhaustive_prefix():
     # small prefix of the exhaustive acceptance family
     from addcomb.search import _normal_form_subsets
 
-    for elems in _normal_form_subsets(8, 2, 5):
+    for elems, _ in _normal_form_subsets(8, 2, 5):
         assert dimension_lower_bound_check(IntSet(elems))

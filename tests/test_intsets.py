@@ -121,7 +121,7 @@ def test_freiman_3k4_exhaustive_small():
     # every normal-form set in [0, 10]: hypothesis implies the covering bound
     from addcomb.search import _normal_form_subsets
 
-    for elems in _normal_form_subsets(10, 1, 11):
+    for elems, _ in _normal_form_subsets(10, 1, 11):
         a = IntSet(elems)
         two = sumset(a)
         if len(two) <= 3 * len(a) - 4:

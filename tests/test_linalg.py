@@ -148,3 +148,65 @@ def test_dimension_past_45_elements():
     assert additive_dimension_value(a) == 59 - rank == res.dim == 2
     assert [list(v) for v in res.nullspace_basis] == basis
     assert all(gcd(*v) == 1 for v in linalg.nullspace(rows, 60).tolist())
+
+
+def _check_stack(stack, ncols):
+    """Each matrix of the stack comes out of the stacked elimination as it
+    does alone, and as the oracle says."""
+    pivots, reduced, d = linalg.echelon_stack(stack)
+    ranks = linalg.rank_int_rows(stack, ncols)
+    assert reduced.shape == np.shape(stack) and pivots.shape == (len(stack), ncols)
+    for n, rows in enumerate(np.asarray(stack).tolist()):
+        rank, want, _ = brute_nullspace(rows, ncols)
+        alone, alone_reduced, alone_d = linalg.echelon(rows, ncols)
+        assert np.flatnonzero(pivots[n]).tolist() == want == alone
+        assert ranks[n] == rank
+        assert reduced[n, :rank].tolist() == alone_reduced.tolist() and d[n] == alone_d
+        assert not reduced[n, rank:].any()
+    return reduced
+
+
+def test_stacks_match_each_matrix_alone():
+    rng = random.Random(0x57AC)
+    for _ in range(40):
+        nrows, ncols = rng.randrange(1, 9), rng.randrange(1, 9)
+        stack = [
+            _matrix(rng, nrows, ncols, rng.choice([2, 4, 50]), rng.randrange(0, min(nrows, ncols) + 1))
+            for _ in range(rng.randrange(1, 12))
+        ]
+        stack[rng.randrange(len(stack))] = [[0] * ncols] * nrows  # an all-zero matrix
+        _check_stack(stack, ncols)
+    pivots, reduced, d = linalg.echelon_stack(np.zeros((3, 0, 4), dtype=np.int64))
+    assert (pivots.any(), reduced.shape, d.tolist()) == (False, (3, 0, 4), [1, 1, 1])
+    assert linalg.rank_int_rows(np.zeros((3, 0, 4), dtype=np.int64), 4).tolist() == [0, 0, 0]
+
+
+def test_required_row_stacks_match_each_set_alone():
+    rng = random.Random(0x5E75)
+    for k in (3, 7, 12, 20):
+        sets = [IntSet.from_iterable(rng.sample(range(3 * k), k)) for _ in range(6)]
+        rows = [required_spanning_rows(a).tolist() for a in sets]
+        most = max(map(len, rows))
+        stack = np.array([r + [[0] * k] * (most - len(r)) for r in rows], dtype=np.int64)
+        _check_stack(stack.reshape(len(sets), most, k), k)
+
+
+def test_one_wide_matrix_switches_the_whole_stack():
+    # entries near 2^40 force Python ints, which then carry every matrix
+    rng = random.Random(0xB16)
+    stack = [_matrix(rng, 6, 5, 3, 4) for _ in range(5)] + [_matrix(rng, 6, 5, 1 << 40, 4)]
+    assert _check_stack(stack, 5).dtype == object
+    assert linalg.echelon_stack(stack[:5])[1].dtype == np.int64
+
+
+def test_mixed_divisors_divide_exactly():
+    # the stacked step divides each matrix by its own D with a modular
+    # inverse: odd, even and negative divisors, quotients up to int64's edge
+    rng = random.Random(0xD1F)
+    for _ in range(50):
+        div = [rng.choice([1, -1]) * (rng.randrange(1, 1 << 31) << rng.randrange(4)) for _ in range(6)]
+        quot = [[[rng.randrange(-(1 << 62), 1 << 62) // abs(d) for _ in range(3)] for _ in range(2)] for d in div]
+        num = np.array([[[q * d for q in row] for row in m] for m, d in zip(quot, div)], dtype=np.int64)
+        got = linalg._divide_exactly(num, np.array(div, dtype=np.int64))
+        assert got.tolist() == quot
+    assert linalg._divide_exactly(np.full((2, 1, 1), -12), np.array([4, 4])).tolist() == [[[-3]], [[-3]]]

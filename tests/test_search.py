@@ -11,6 +11,7 @@ from addcomb.errors import (
     SearchRangeError,
     UnknownSuiteError,
 )
+from addcomb.intsets import IntSet, sumset as int_sumset
 from addcomb.residues import ResidueSet, affine_canonical_form, sumset
 from addcomb.search import (
     FamilyParams,
@@ -204,6 +205,39 @@ def test_prop23_variant_small_range():
     assert any("empirical max" in n for n in rep.notes)
 
 
+def test_dimension_suite_reports_are_pinned():
+    # the reports the suites gave when each set was ranked on its own
+    def body(report):
+        out = report.to_json()
+        out.pop("wall_time")
+        return out
+
+    prop23 = body(run_suite("prop23_variant", limit=16))
+    assert prop23 == {
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+        "campaign": "suite-prop23_variant",
+        "parameters": {"suite": "prop23_variant", "limit": 16},
+        "classes_examined": 2227,
+        "counterexamples": [],
+        "notes": [
+            "1-dimensional normal-form sets in [0, 16] with |2A| <= 3.04|A| - 3",
+            "empirical max of max(A)/|A|: 16/9 at [0, 1, 2, 3, 4, 5, 6, 8, 16]",
+            "violations of max(A) <= 4|A| are findings about an open question, "
+            "not errors",
+        ],
+    }
+    assert body(run_suite("dim_bound")) == {
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+        "campaign": "suite-dim_bound",
+        "parameters": {"suite": "dim_bound"},
+        "classes_examined": 1507,
+        "counterexamples": [],
+        "notes": ["normal-form sets in [0, 12], sizes 2..6"],
+    }
+
+
 def test_normal_form_subsets_against_brute():
     # DFS preorder is lexicographic order, so the brute list is sorted
     for limit, lo, hi, cap in [(9, 1, 10, None), (10, 2, 5, None), (12, 4, 4, 9),
@@ -215,4 +249,7 @@ def test_normal_form_subsets_against_brute():
             if gcd(0, *rest) == 1
             and (cap is None or len(naive_sumset((0, *rest))) <= cap)
         )
-        assert list(_normal_form_subsets(limit, lo, hi, cap)) == want
+        got = list(_normal_form_subsets(limit, lo, hi, cap))
+        assert [elems for elems, _ in got] == want
+        # the yielded |2A| is the integer sumset's size
+        assert all(two == len(int_sumset(IntSet(elems))) for elems, two in got)

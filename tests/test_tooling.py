@@ -38,3 +38,6 @@ def test_campaigns_reach_the_traced_rank(monkeypatch):
     monkeypatch.setattr(linalg, "rank_int_rows", counting)
     run_suite("dim_bound", limit=8)
     assert len(calls) > 0
+    calls.clear()
+    run_suite("prop23_variant", limit=12)
+    assert len(calls) > 0
