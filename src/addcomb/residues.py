@@ -241,7 +241,7 @@ def _ordered_pairs(k: int) -> np.ndarray:
 
 
 def affine_canonical_rows(rows, p: int) -> np.ndarray:
-    """Which of the sorted rows (N, k), k >= 2, of members of Z_p are
+    """Which of the sorted rows (N, k) of members of Z_p are
     affine-canonical: equal to their lexicographically least affine image.
 
     That image starts (0, 1), so only the k(k-1) maps sending an ordered

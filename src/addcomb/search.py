@@ -1,10 +1,14 @@
 """Exhaustive and randomized verification campaigns.
 
-Enumeration works over affine-canonical representatives: every class with at
-least two elements has a representative containing {0, 1} (map any two
-elements there), so the search walks sorted tuples (0, 1, e3 < e4 < ...) and
-keeps the sets that equal their own canonical form.  Sumset-size caps prune
-prefixes soundly because a prefix sumset only grows.
+Every exhaustive walk grows uint64 masks of sorted prefixes on one numpy
+frontier (_walk, _grow, _children); a set and its sumset share one word, so
+residues need p <= 61 and integer sets [0, limit] need limit <= 31.
+Sumset-size caps prune prefixes soundly because a prefix sumset only grows.
+The hunt and the vosper suite grow (0, 1, e3 < e4 < ...): every class with
+at least two elements has a representative containing {0, 1} (map any two
+elements there); the hunt keeps the sets equal to their canonical form.  The
+integer suites grow from {0} and keep the sets with gcd 1; prop23_variant
+ranks only the sets that Freiman's lemma leaves open.
 
 Reports are deterministic: two runs differ only in wall_time, and results
 are independent of the worker count.
@@ -38,9 +42,12 @@ from .errors import (
 from .freiman import additive_dimensions, dimension_lower_bound
 from .intsets import IntSet, cover_3k4
 from .primes import is_prime, primes_upto
-from .residues import ResidueSet, affine_canonical_rows, sumset, sumset_mask
+from .residues import ResidueSet, affine_canonical_rows, sumset
 
-ENUMERATION_MAX_P = 64
+# the largest prime whose masks, and sumset masks, fit one uint64 word
+ENUMERATION_MAX_P = 61
+# an integer set in [0, limit] and its sumset in [0, 2 limit] fit one too
+INTEGER_WALK_MAX_LIMIT = 31
 HUNT_DEFAULT_MAX_P = 31
 
 
@@ -103,59 +110,66 @@ def enumerate_canonical(
     if not 1 <= k <= p:
         raise SearchRangeError(f"k = {k} out of range for Z_{p}")
     cap = doubling_cap if doubling_cap is not None else p
-    if cap <= 0:
-        return
-    if k == 1:
-        yield ResidueSet.from_elements(p, [0])
-        return
     # the lex-least member of every class starts 0, 1: an affine map sends
     # any two elements there
-    mask = bits.mask_of((0, 1), p)
-    summask = mask | bits.rotate(mask, 1, p)
-    if summask.bit_count() > cap:
-        return
-    # p <= ENUMERATION_MAX_P puts every mask in one uint64 word
-    masks = np.array([mask], dtype=np.uint64)
-    sums = np.array([summask], dtype=np.uint64)
-    for leaves in _grow(p, k, cap, 2, masks, sums, np.array([1])):
+    for _, leaves, _ in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CHUNK_ELEMENTS):
         for leaf in leaves[affine_canonical_rows(_element_rows(leaves, k), p)]:
             yield ResidueSet(p, int(leaf))
 
 
-def _grow(p, k, cap, size, masks, sums, lasts):
-    """Yields, in lexicographic order, uint64 masks of the k-sets that
-    extend the given prefixes by larger elements and keep |2A| <= cap.  The
-    prefixes have `size` members, sumsets `sums` and largest members
-    `lasts`.  Parents are expanded in slices of at most CHUNK_ELEMENTS
-    children, each grown to full size before the next, so memory stays
-    within the depth times a slice."""
-    if size == k:
-        yield masks
+def _walk(n, lo, hi, cap, root, p, budget):
+    """(size, masks, sumset masks) slices of the sets that extend `root` by
+    larger members below n, with lo <= size <= hi and |2A| <= cap, sums mod
+    p (integer sums if p is None), each size in lexicographic order.  One
+    uint64 holds a set and its sumset: p <= ENUMERATION_MAX_P, or
+    n - 1 <= INTEGER_WALK_MAX_LIMIT for integer sets."""
+    sums = bits.mask_of([a + b for a in root for b in root], p or 64)
+    if sums.bit_count() <= cap:
+        masks = np.array([bits.mask_of(root, n), sums], dtype=np.uint64)
+        yield from _grow((n, lo, hi, cap, p, budget), len(root), masks[:1], masks[1:], np.array([root[-1]]))
+
+
+def _grow(walk, size, masks, sums, lasts):
+    """The frontier every exhaustive walk shares (the hunt, the vosper suite
+    and the integer suites): yields the given prefixes (`size` members,
+    sumsets `sums`, largest members `lasts`) if size >= lo, then the
+    extensions of them that `_walk` describes.  Parents are expanded in
+    slices of at most `budget` children, each grown to full size before the
+    next, so memory stays within the depth times a slice."""
+    n, lo, hi, cap, p, budget = walk
+    if size >= lo:
+        yield size, masks, sums
+    if size == hi:
         return
-    # the next element e lies in (last, p - (k - size)], leaving room for
-    # the k - size - 1 after it
-    counts = (p - (k - size) - lasts).clip(0)
+    # the next element e lies in (last, n - max(1, lo - size)], leaving room
+    # for the members a set of size lo still needs after it
+    counts = (n - max(1, lo - size) - lasts).clip(0)
     ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(masks):
-        limit = ends[lo] - counts[lo] + residues.CHUNK_ELEMENTS
-        hi = max(lo + 1, int(np.searchsorted(ends, limit, "right")))
-        children = _children(p, cap, masks[lo:hi], sums[lo:hi], lasts[lo:hi], counts[lo:hi])
+    # each integer member after the child adds at least two sums, above
+    # its sumset's largest, so the child keeps room for them
+    reach = cap if p else cap - 2 * max(0, lo - size - 1)
+    start = 0
+    while start < len(masks):
+        stop = max(start + 1, int(np.searchsorted(ends, ends[start] - counts[start] + budget, "right")))
+        children = _children(p, reach, masks[start:stop], sums[start:stop], lasts[start:stop], counts[start:stop])
         if len(children[0]):
-            yield from _grow(p, k, cap, size + 1, *children)
-        lo = hi
+            yield from _grow(walk, size + 1, *children)
+        start = stop
 
 
 def _children(p, cap, masks, sums, lasts, counts):
     """Each prefix extended by each of its `counts` next elements in turn,
     keeping the children whose sumset (the parent's sums plus the child's
-    mask rotated by its new element) has at most cap members."""
+    mask shifted by its new element, rotated mod p if p) has at most cap
+    members."""
     parent = np.repeat(np.arange(len(masks)), counts)
     e = lasts[parent] + 1 + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
     shift = e.astype(np.uint64)
     child = masks[parent] | np.uint64(1) << shift
-    rotated = (child << shift | child >> (np.uint64(p) - shift)) & np.uint64(bits.full_mask(p))
-    child_sums = sums[parent] | rotated
+    shifted = child << shift
+    if p:
+        shifted = (shifted | child >> (np.uint64(p) - shift)) & np.uint64(bits.full_mask(p))
+    child_sums = sums[parent] | shifted
     keep = np.bitwise_count(child_sums) <= cap
     return child[keep], child_sums[keep], e[keep]
 
@@ -436,65 +450,74 @@ def _verify_one_instance(params: FamilyParams) -> dict | None:
 def _normal_form_subsets(
     limit: int, min_size: int, max_size: int, cap: int | None = None
 ):
-    """(A, |2A|) for all A containing 0 with gcd 1 inside [0, limit], by DFS
-    in lexicographic order; sizes in [min_size, max_size] and, given a cap,
-    |2A| <= cap (prefix sumsets only grow, so the cap prunes)."""
-    from math import gcd
-
-    def rec(elements: list[int], mask: int, summask: int, g: int, nxt: int):
-        size = len(elements)
-        if size >= min_size and g == 1:
-            yield tuple(elements), summask.bit_count()
-        if size == max_size:
-            return
-        # leave room for the elements still needed to reach min_size
-        for e in range(nxt, limit + 1 - max(0, min_size - size - 1)):
-            new_mask = mask | (1 << e)
-            new_sum = summask | (new_mask << e)
-            if cap is not None and new_sum.bit_count() > cap:
-                continue
-            elements.append(e)
-            yield from rec(elements, new_mask, new_sum, gcd(g, e), e + 1)
-            elements.pop()
-
-    if cap is None or cap >= 1:
-        yield from rec([0], 1, 1, 0, 1)
+    """(sets, |2A|) stacks of all A containing 0 with gcd 1 inside [0, limit]
+    with sizes in [min_size, max_size] and, given a cap, |2A| <= cap (prefix
+    sumsets only grow, so the cap prunes): an (N, k) array of sorted members
+    and one of sumset sizes per walk slice, each size in lexicographic
+    order.  Every depth of the walk holds one slice of at most
+    CANONICAL_STEP_ENTRIES / depth children, so the walk holds at most
+    CANONICAL_STEP_ENTRIES at once."""
+    if limit > INTEGER_WALK_MAX_LIMIT:
+        raise SearchRangeError(f"integer sets capped at [0, {INTEGER_WALK_MAX_LIMIT}]")
+    depth = max(1, min(max_size, limit + 1))
+    walk = _walk(limit + 1, max(1, min_size), max_size, 2 * limit + 1 if cap is None else cap,
+                 (0,), None, residues.CANONICAL_STEP_ENTRIES // depth)
+    for size, masks, sums in walk:
+        sets = _element_rows(masks, size)
+        keep = np.gcd.reduce(sets, axis=1) == 1
+        if keep.any():
+            yield sets[keep], np.bitwise_count(sums[keep]).astype(np.int64)
 
 
 def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
     # Both sides of the equivalence are affine-invariant and every class of
     # size >= 2 has a representative containing {0, 1}, so sweeping those
     # representatives checks every class (some more than once).
+    if max_p > ENUMERATION_MAX_P:
+        raise SearchRangeError(f"vosper suite capped at max_p <= {ENUMERATION_MAX_P}")
     examined = 0
     for p in primes_upto(max_p):
-        for rest in range(1 << max(p - 2, 0)):
-            mask = 3 | (rest << 2)
-            if sumset_mask(mask, p).bit_count() > p - 2:
-                continue
-            examined += 1
-            vosper_verdict(ResidueSet(p, mask))  # ConsistencyError on failure
+        for _, masks, _ in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
+            examined += len(masks)
+            for mask in masks.tolist():
+                vosper_verdict(ResidueSet(p, mask))  # ConsistencyError on failure
     return examined, [], [
         f"exhaustive over representatives containing {{0,1}}, p <= {max_p}"
     ]
 
 
-def _dimension_stacks(limit: int, size: int, cap: int | None = None):
+def _dimension_stacks(limit: int, size: int, cap: int | None = None, lemma: bool = False):
     """(sets, sumset sizes, dimensions) of the normal-form sets of one size
-    in [0, limit] (with |2A| <= cap), in enumeration order, as numpy stacks
-    whose required rows hold at most CANONICAL_STEP_ENTRIES entries: an
-    integer set of k elements has at least 2k - 1 sums, so at most
-    (k - 1)(k - 2)/2 required rows."""
-    most_rows = (size - 1) * (size - 2) // 2
+    in [0, limit] (with |2A| <= cap), in enumeration order.  With `lemma`,
+    sets with |2A| <= 3k - 4 get dimension 1 unranked (see
+    _suite_prop23_variant).  The rest are ranked in full stacks of at most
+    CANONICAL_STEP_ENTRIES required-row entries: k integers with s >= 2k - 1
+    sums (s >= 3k - 3 past the lemma) have k(k + 1)/2 - s required rows."""
+    floor = dimension_lower_bound(size, 2) if lemma else 0
+    most_rows = size * (size + 1) // 2 - max(floor, 2 * size - 1)
     per_stack = max(1, residues.CANONICAL_STEP_ENTRIES // max(1, most_rows * size))
-    subsets = _normal_form_subsets(limit, size, size, cap)
-    while chunk := list(itertools.islice(subsets, per_stack)):
-        sets = np.array([elems for elems, _ in chunk], dtype=np.int64)
-        yield sets, np.array([two for _, two in chunk]), additive_dimensions(sets)
+    sets, two = np.empty((0, size), dtype=np.int64), np.empty(0, dtype=np.int64)
+    for more in itertools.chain(_normal_form_subsets(limit, size, size, cap), [None]):
+        if more is not None:
+            sets, two = np.concatenate([sets, more[0]]), np.concatenate([two, more[1]])
+        todo = np.flatnonzero(two >= floor)
+        # rank the full stacks (all, at the end), then pass on the sets
+        # before the first one still waiting
+        full = len(todo) if more is None else len(todo) - len(todo) % per_stack
+        cut = todo[full] if full < len(todo) else len(sets)
+        dims = np.ones(cut, dtype=np.int64)
+        for start in range(0, full, per_stack):
+            stack = todo[start : start + per_stack]
+            dims[stack] = additive_dimensions(sets[stack])
+        if cut:
+            yield sets[:cut], two[:cut], dims
+        sets, two = sets[cut:], two[cut:]
 
 
 def _suite_dim_bound(
     limit: int = 12, min_size: int = 2, max_size: int = 6
 ) -> tuple[int, list[dict], list[str]]:
+    # every set is ranked: the lemma is what this suite tests
     examined = 0
     for size in range(min_size, max_size + 1):
         for sets, two, dims in _dimension_stacks(limit, size):
@@ -512,14 +535,16 @@ def _suite_dim_bound(
 def _suite_3k4(limit: int = 15) -> tuple[int, list[dict], list[str]]:
     examined = 0
     checked = 0
-    for elems, two in _normal_form_subsets(limit, 1, limit + 1):
-        examined += 1
-        if two > 3 * len(elems) - 4:
-            continue
-        checked += 1
-        if elems[-1] > two - len(elems):  # max of a normal-form set
-            raise ConsistencyError(f"3k-4 bound failed on {elems}")
-        cover_3k4(IntSet(elems))  # also exercises the covering constructor
+    for sets, two in _normal_form_subsets(limit, 1, limit + 1):
+        k = sets.shape[1]
+        examined += len(sets)
+        met = two <= 3 * k - 4
+        checked += int(met.sum())
+        failed = np.flatnonzero(met & (sets[:, -1] > two - k))  # max of a normal-form set
+        if len(failed):
+            raise ConsistencyError(f"3k-4 bound failed on {tuple(sets[failed[0]].tolist())}")
+        for elems in sets[met].tolist():
+            cover_3k4(IntSet(tuple(elems)))  # also exercises the covering constructor
     return examined, [], [
         f"normal-form sets in [0, {limit}]; {checked} met the 3k-4 hypothesis"
     ]
@@ -533,6 +558,11 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
     Findings, not assertions: the true constant is an open question.  Sizes
     with 4|A| > limit cannot violate and only matter for the ratio, so the
     scan stops once larger sizes cannot beat the running maximum.
+
+    Only sets with |2A| >= 3|A| - 3 are ranked: by Freiman's lemma the rest
+    have dimension 1, since deleting a hull vertex v of a planar image
+    loses the sums 2v, v + u and v + w (u, w its nearest members along the
+    hull edges), so dimension >= 2 forces |2A| >= 3|A| - 3 by induction.
     """
     examined = 0
     violations: list[dict] = []
@@ -542,7 +572,7 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
         if best_ratio >= Fraction(limit, size) and 4 * size > limit:
             break  # no violation possible and the ratio cannot improve
         cap = (304 * size - 300) // 100  # |2A| <= 3.04|A| - 3, exactly
-        for sets, _, dims in _dimension_stacks(limit, size, cap):
+        for sets, _, dims in _dimension_stacks(limit, size, cap, lemma=True):
             ones = sets[dims == 1]
             if not len(ones):
                 continue

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb import freiman
+from addcomb import freiman, residues
 from addcomb.errors import (
     NotFreimanIsomorphismError,
     NotFullDimensionalError,
@@ -191,16 +191,30 @@ def test_stacked_rows_are_each_sets_rows():
             assert rows[: len(own)].tolist() == own.tolist() and not rows[len(own) :].any()
 
 
-def test_stacked_dimensions_match_one_set_at_a_time():
-    # every normal-form set in [0, 12] of sizes 2..8: one stack a size, and
-    # the suites' stacks of at most CANONICAL_STEP_ENTRIES row entries
-    for size in range(2, 9):
-        sets = [elems for elems, _ in _normal_form_subsets(12, size, size)]
-        want = [additive_dimension_value(IntSet(elems)) for elems in sets]
-        assert additive_dimensions(np.array(sets)).tolist() == want
-        stacks = list(_dimension_stacks(12, size))
-        assert [tuple(x) for s, _, _ in stacks for x in s.tolist()] == sets
-        assert np.concatenate([dims for _, _, dims in stacks]).tolist() == want
+def test_stacked_dimensions_match_one_set_at_a_time(monkeypatch):
+    # every normal-form set in [0, 12] of sizes 2..8, with and without
+    # prop23_variant's cap: one stack a size, and the suites' stacks, with
+    # Freiman's lemma standing in for the rank where |2A| <= 3k - 4 and
+    # without it; then again with stacks and walk slices of a few entries,
+    # so that stacks span slices
+    def slices(size, cap, lemma):
+        return list(_dimension_stacks(12, size, cap, lemma))
+
+    cases = [(size, cap) for size in range(2, 9) for cap in (None, (304 * size - 300) // 100)]
+    want = {}
+    for size, cap in cases:
+        sets = np.concatenate([s for s, _ in _normal_form_subsets(12, size, size, cap)])
+        dims = [additive_dimension_value(IntSet(tuple(elems))) for elems in sets.tolist()]
+        assert additive_dimensions(sets).tolist() == dims
+        want[size, cap] = sets.tolist(), dims
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
+        for (size, cap), (sets, dims) in want.items():
+            for lemma in (False, True):
+                got = slices(size, cap, lemma)
+                assert [x for s, _, _ in got for x in s.tolist()] == sets
+                assert np.concatenate([d for _, _, d in got]).tolist() == dims
     assert additive_dimensions([[0, 1, 1 << 70, (1 << 70) + 1]]).tolist() == [2]
 
 
@@ -504,5 +518,6 @@ def test_dimension_lower_bound_exhaustive_prefix():
     # small prefix of the exhaustive acceptance family
     from addcomb.search import _normal_form_subsets
 
-    for elems, _ in _normal_form_subsets(8, 2, 5):
-        assert dimension_lower_bound_check(IntSet(elems))
+    for sets, _ in _normal_form_subsets(8, 2, 5):
+        for elems in sets.tolist():
+            assert dimension_lower_bound_check(IntSet(tuple(elems)))

@@ -121,11 +121,12 @@ def test_freiman_3k4_exhaustive_small():
     # every normal-form set in [0, 10]: hypothesis implies the covering bound
     from addcomb.search import _normal_form_subsets
 
-    for elems, _ in _normal_form_subsets(10, 1, 11):
-        a = IntSet(elems)
-        two = sumset(a)
-        if len(two) <= 3 * len(a) - 4:
-            assert a.max() <= len(two) - len(a)
+    for sets, _ in _normal_form_subsets(10, 1, 11):
+        for elems in sets.tolist():
+            a = IntSet(tuple(elems))
+            two = sumset(a)
+            if len(two) <= 3 * len(a) - 4:
+                assert a.max() <= len(two) - len(a)
 
 
 def test_ap_descriptor_validation():

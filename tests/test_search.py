@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from addcomb import residues
+from addcomb import linalg, residues, search
 from addcomb.covering import min_ap_cover
 from addcomb.errors import (
     InvalidParamsError,
@@ -239,9 +239,12 @@ def test_dimension_suite_reports_are_pinned():
 
 
 def test_normal_form_subsets_against_brute():
-    # DFS preorder is lexicographic order, so the brute list is sorted
+    # the walk interleaves sizes, but within each size it keeps
+    # lexicographic order, so each size matches its slice of the sorted
+    # brute list; limit 31 puts sums at bit 62, the last a uint64 walk has
     for limit, lo, hi, cap in [(9, 1, 10, None), (10, 2, 5, None), (12, 4, 4, 9),
-                               (12, 3, 6, 11), (11, 5, 5, 12), (8, 2, 3, 0)]:
+                               (12, 3, 6, 11), (11, 5, 5, 12), (8, 2, 3, 0),
+                               (31, 1, 3, None), (31, 4, 4, 10)]:
         want = sorted(
             (0, *rest)
             for size in range(lo, hi + 1)
@@ -250,6 +253,108 @@ def test_normal_form_subsets_against_brute():
             and (cap is None or len(naive_sumset((0, *rest))) <= cap)
         )
         got = list(_normal_form_subsets(limit, lo, hi, cap))
-        assert [elems for elems, _ in got] == want
+        for size in range(lo, hi + 1):
+            sets = [tuple(x) for s, _ in got if s.shape[1] == size for x in s.tolist()]
+            assert sets == [a for a in want if len(a) == size], (limit, size)
         # the yielded |2A| is the integer sumset's size
-        assert all(two == len(int_sumset(IntSet(elems))) for elems, two in got)
+        for sets, two in got:
+            assert [len(int_sumset(IntSet(tuple(a)))) for a in sets.tolist()] == two.tolist()
+
+
+def _body(report):
+    out = report.to_json()
+    out.pop("wall_time")
+    return out
+
+
+def test_campaign_reports_are_pinned():
+    # the reports of the Python walks the frontier replaced
+    assert _body(run_suite("vosper")) == {
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+        "campaign": "suite-vosper",
+        "parameters": {"suite": "vosper"},
+        "classes_examined": 2604,
+        "counterexamples": [],
+        "notes": ["exhaustive over representatives containing {0,1}, p <= 17"],
+    }
+    assert _body(run_suite("3k4")) == {
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+        "campaign": "suite-3k4",
+        "parameters": {"suite": "3k4"},
+        "classes_examined": 32603,
+        "counterexamples": [],
+        "notes": ["normal-form sets in [0, 15]; 6354 met the 3k-4 hypothesis"],
+    }
+    assert _body(run_suite("prop23_variant", limit=20)) == {
+        "schema_version": 1,
+        "tool_version": "0.1.0",
+        "campaign": "suite-prop23_variant",
+        "parameters": {"suite": "prop23_variant", "limit": 20},
+        "classes_examined": 15349,
+        "counterexamples": [],
+        "notes": [
+            "1-dimensional normal-form sets in [0, 20] with |2A| <= 3.04|A| - 3",
+            "empirical max of max(A)/|A|: 20/11 at [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 20]",
+            "violations of max(A) <= 4|A| are findings about an open question, "
+            "not errors",
+        ],
+    }
+
+
+class _WalkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "name, param, boundary",
+    [("prop23_variant", "limit", 31), ("3k4", "limit", 31), ("dim_bound", "limit", 31),
+     ("vosper", "max_p", 61)],
+)
+def test_suites_refuse_what_one_word_cannot_hold(monkeypatch, name, param, boundary):
+    # at the boundary the suite starts its walk; one past it, it raises
+    # before any (the vosper suite once looped over 2^(p - 2) masks)
+    def started(*args):
+        raise _WalkStarted
+
+    monkeypatch.setattr(search, "_grow", started)
+    with pytest.raises(_WalkStarted):
+        run_suite(name, **{param: boundary})
+    with pytest.raises(SearchRangeError):
+        run_suite(name, **{param: boundary + 1})
+
+
+def test_dim_bound_ranks_every_set(monkeypatch):
+    # it tests Freiman's lemma, so the lemma must not stand in for a rank;
+    # of its sets only {0, 1} has no relation to rank
+    ranked = []
+    rank = linalg.rank_int_rows
+
+    def counting(rows, ncols):
+        ranked.append(len(rows))
+        return rank(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rank_int_rows", counting)
+    for params in ({}, {"limit": 10, "min_size": 2, "max_size": 8}):
+        ranked.clear()
+        report = run_suite("dim_bound", **params)
+        assert sum(ranked) == report.classes_examined - 1 > 0
+
+
+def test_walk_memory_stays_near_the_python_walks():
+    # tracemalloc peaks: 2.05 MiB for prop23_variant at limit 20 (1.58 MiB
+    # when it walked in Python; 5.0 MiB with walk slices of 2^15 children),
+    # 0.18 MiB for vosper
+    import tracemalloc
+
+    peaks = []
+    for name, params in (("prop23_variant", {"limit": 20}), ("vosper", {})):
+        tracemalloc.start()
+        try:
+            run_suite(name, **params)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 3 * 2**20
+    assert peaks[1] < 2**19
