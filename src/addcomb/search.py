@@ -16,7 +16,6 @@ are independent of the worker count.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -145,13 +144,10 @@ def _grow(walk, size, masks, sums, lasts):
     # for the members a set of size lo still needs after it
     counts = (n - max(1, lo - size) - lasts).clip(0)
     ends = np.cumsum(counts)
-    # each integer member after the child adds at least two sums, above
-    # its sumset's largest, so the child keeps room for them
-    reach = cap if p else cap - 2 * max(0, lo - size - 1)
     start = 0
     while start < len(masks):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - counts[start] + budget, "right")))
-        children = _children(p, reach, masks[start:stop], sums[start:stop], lasts[start:stop], counts[start:stop])
+        children = _children(p, cap, masks[start:stop], sums[start:stop], lasts[start:stop], counts[start:stop])
         if len(children[0]):
             yield from _grow(walk, size + 1, *children)
         start = stop
@@ -490,28 +486,20 @@ def _dimension_stacks(limit: int, size: int, cap: int | None = None, lemma: bool
     """(sets, sumset sizes, dimensions) of the normal-form sets of one size
     in [0, limit] (with |2A| <= cap), in enumeration order.  With `lemma`,
     sets with |2A| <= 3k - 4 get dimension 1 unranked (see
-    _suite_prop23_variant).  The rest are ranked in full stacks of at most
-    CANONICAL_STEP_ENTRIES required-row entries: k integers with s >= 2k - 1
-    sums (s >= 3k - 3 past the lemma) have k(k + 1)/2 - s required rows."""
+    _suite_prop23_variant).  The rest of each walk slice are ranked in
+    stacks of at most CANONICAL_STEP_ENTRIES required-row entries: k
+    integers with s >= 2k - 1 sums (s >= 3k - 3 past the lemma) have
+    k(k + 1)/2 - s required rows."""
     floor = dimension_lower_bound(size, 2) if lemma else 0
     most_rows = size * (size + 1) // 2 - max(floor, 2 * size - 1)
     per_stack = max(1, residues.CANONICAL_STEP_ENTRIES // max(1, most_rows * size))
-    sets, two = np.empty((0, size), dtype=np.int64), np.empty(0, dtype=np.int64)
-    for more in itertools.chain(_normal_form_subsets(limit, size, size, cap), [None]):
-        if more is not None:
-            sets, two = np.concatenate([sets, more[0]]), np.concatenate([two, more[1]])
+    for sets, two in _normal_form_subsets(limit, size, size, cap):
+        dims = np.ones(len(sets), dtype=np.int64)
         todo = np.flatnonzero(two >= floor)
-        # rank the full stacks (all, at the end), then pass on the sets
-        # before the first one still waiting
-        full = len(todo) if more is None else len(todo) - len(todo) % per_stack
-        cut = todo[full] if full < len(todo) else len(sets)
-        dims = np.ones(cut, dtype=np.int64)
-        for start in range(0, full, per_stack):
+        for start in range(0, len(todo), per_stack):
             stack = todo[start : start + per_stack]
             dims[stack] = additive_dimensions(sets[stack])
-        if cut:
-            yield sets[:cut], two[:cut], dims
-        sets, two = sets[cut:], two[cut:]
+        yield sets, two, dims
 
 
 def _suite_dim_bound(
@@ -559,10 +547,13 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
     with 4|A| > limit cannot violate and only matter for the ratio, so the
     scan stops once larger sizes cannot beat the running maximum.
 
-    Only sets with |2A| >= 3|A| - 3 are ranked: by Freiman's lemma the rest
-    have dimension 1, since deleting a hull vertex v of a planar image
-    loses the sums 2v, v + u and v + w (u, w its nearest members along the
-    hull edges), so dimension >= 2 forces |2A| >= 3|A| - 3 by induction.
+    Only sets with |2A| >= 3|A| - 3 are ranked: the rest have dimension 1
+    by Freiman's lemma (Freiman 1973; Tao-Vu, Lemma 5.13).  A set of
+    dimension >= 2 is isomorphic to one spanning R^d, d >= 2; deleting a
+    vertex v of its hull loses at least the sums 2v, v + u and v + w (u, w
+    its neighbours along hull edges).  If the rest spans a plane or more it
+    has >= 3|A| - 6 sums by induction; if it lies on a line it has
+    >= 2|A| - 3, and v adds |A| more off that line.
     """
     examined = 0
     violations: list[dict] = []

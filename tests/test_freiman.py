@@ -196,7 +196,7 @@ def test_stacked_dimensions_match_one_set_at_a_time(monkeypatch):
     # prop23_variant's cap: one stack a size, and the suites' stacks, with
     # Freiman's lemma standing in for the rank where |2A| <= 3k - 4 and
     # without it; then again with stacks and walk slices of a few entries,
-    # so that stacks span slices
+    # so that a slice holds several stacks
     def slices(size, cap, lemma):
         return list(_dimension_stacks(12, size, cap, lemma))
 

@@ -239,9 +239,10 @@ def test_dimension_suite_reports_are_pinned():
 
 
 def test_normal_form_subsets_against_brute():
-    # the walk interleaves sizes, but within each size it keeps
-    # lexicographic order, so each size matches its slice of the sorted
-    # brute list; limit 31 puts sums at bit 62, the last a uint64 walk has
+    # the walk yields exactly the brute list; it interleaves sizes, but
+    # within each size it keeps lexicographic order, so each size matches
+    # its slice of the sorted list; limit 31 puts sums at bit 62, the last
+    # a uint64 walk has
     for limit, lo, hi, cap in [(9, 1, 10, None), (10, 2, 5, None), (12, 4, 4, 9),
                                (12, 3, 6, 11), (11, 5, 5, 12), (8, 2, 3, 0),
                                (31, 1, 3, None), (31, 4, 4, 10)]:
@@ -253,6 +254,7 @@ def test_normal_form_subsets_against_brute():
             and (cap is None or len(naive_sumset((0, *rest))) <= cap)
         )
         got = list(_normal_form_subsets(limit, lo, hi, cap))
+        assert sorted(tuple(x) for s, _ in got for x in s.tolist()) == want
         for size in range(lo, hi + 1):
             sets = [tuple(x) for s, _ in got if s.shape[1] == size for x in s.tolist()]
             assert sets == [a for a in want if len(a) == size], (limit, size)
@@ -343,7 +345,7 @@ def test_dim_bound_ranks_every_set(monkeypatch):
 
 
 def test_walk_memory_stays_near_the_python_walks():
-    # tracemalloc peaks: 2.05 MiB for prop23_variant at limit 20 (1.58 MiB
+    # tracemalloc peaks: 2.1 MiB for prop23_variant at limit 20 (1.58 MiB
     # when it walked in Python; 5.0 MiB with walk slices of 2^15 children),
     # 0.18 MiB for vosper
     import tracemalloc
