@@ -8,14 +8,14 @@ change it and --max-p to lift the budget cap.
 import argparse
 import sys
 
-from addcomb.search import hunt_conjecture
+from addcomb.search import HUNT_DEFAULT_MAX_P, hunt_conjecture
 
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--primes", default="5,7,11,13,17,19,23")
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--max-p", type=int, default=31)
+    ap.add_argument("--max-p", type=int, default=HUNT_DEFAULT_MAX_P)
     ap.add_argument("--out", default="reports")
     args = ap.parse_args()
     primes = [int(x) for x in args.primes.split(",") if x]

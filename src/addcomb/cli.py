@@ -29,6 +29,7 @@ from .intsets import IntSet
 from .literals import check_modulus, format_int_set, parse_any
 from .residues import ResidueSet, sumset
 from .search import (
+    HUNT_DEFAULT_MAX_P,
     FamilyParams,
     build_family,
     hunt_conjecture,
@@ -122,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     hunt = subs.add_parser("hunt", help="exhaustive conjecture hunt")
     hunt.add_argument("--primes", required=True, help="comma-separated primes")
     hunt.add_argument("--threads", type=int, default=1)
-    hunt.add_argument("--max-p", type=int, default=31,
+    hunt.add_argument("--max-p", type=int, default=HUNT_DEFAULT_MAX_P,
                       help="campaign budget cap on p")
     hunt.add_argument("--override-budget", action="store_true",
                       help="allow primes above the default cap (slow)")

@@ -242,10 +242,11 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         tl = two_lines_cover(a1_ints)
     except PreconditionFailedError as e:
         return _fallback(trace, a, two_a, f"two-progression structure unavailable: {e}")
-    trace.annotations["two_lines_route"] = tl.route
-    r = tl.p1.step
+    r, s1 = tl.p1.step, tl.p1.start
     # orientation: first segment is the progression holding more of A1
-    n1 = sum(1 for x in a1_ints if x in tl.p1.value_set())
+    n1 = sum(
+        1 for x in a1_ints.elements if (x - s1) % r == 0 and 0 <= x - s1 < r * tl.p1.length
+    )
     first, second = (tl.p1, tl.p2) if n1 * 2 >= k1 else (tl.p2, tl.p1)
     r_inv = pow(r % p, -1, p)
     norm = base_map.then(r_inv, -r_inv * first.start % p)

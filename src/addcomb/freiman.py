@@ -13,6 +13,11 @@ One numpy kernel, _pair_classes, computes the classes for integer sets,
 residue sets and points of Z^d alike; the rows, the dimension-1
 propagation, the rectification's class representatives and the isomorphism
 test's class tables all read it.
+
+The two-progressions cover of a 2-dimensional set is the exception: a step
+search in Z with progression arithmetic for its postconditions.  A cover it
+finds is itself a certificate of dimension 2, so it builds no rows; the
+rank runs only to word a refusal.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import isqrt
 from operator import mul
 
 import numpy as np
@@ -235,17 +240,6 @@ def _dim1_by_propagation(elems: list) -> bool:
                     known += 1
                     progress = True
     return known == k
-
-
-def _dimension(a: IntSet) -> tuple[int, np.ndarray | None]:
-    """(dim, basis) of a set of at least two elements: its certified
-    nullspace basis, or None where propagation (tried first past 45
-    elements, before any row is built) settled dim = 1."""
-    k = len(a)
-    if k > 45 and _dim1_by_propagation(list(a.elements)):
-        return 1, None
-    basis = _certified_nullspace(required_spanning_rows(a), k)
-    return len(basis) - 1, basis
 
 
 def additive_dimensions(sets) -> np.ndarray:
@@ -524,203 +518,112 @@ def _raise_with_quadruple(pts, phi) -> None:
 
 @dataclass(frozen=True)
 class TwoLinesCover:
+    """P1 and P2 share their step, P1 starts below P2 and the two are
+    disjoint."""
+
     p1: ApDescriptor
     p2: ApDescriptor
-    route: str  # "embedding" or "direct"
 
     @property
     def union_size(self) -> int:
-        return len(self.p1.value_set() | self.p2.value_set())
+        return self.p1.length + self.p2.length
 
 
-def _two_lines_postconditions_ok(a: IntSet, p1: ApDescriptor, p2: ApDescriptor) -> bool:
-    v1, v2 = p1.value_set(), p2.value_set()
-    if not set(a.elements) <= (v1 | v2):
-        return False
-    bound = len(int_sumset(a)) - 2 * len(a) + 3
-    if len(v1 | v2) > bound:
-        return False
-    s11 = {x + y for x in v1 for y in v1}
-    s12 = {x + y for x in v1 for y in v2}
-    s22 = {x + y for x in v2 for y in v2}
-    return not (s11 & s12) and not (s11 & s22) and not (s12 & s22)
+def _divisors(n: int) -> set[int]:
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return {*small, *(n // d for d in small)}
 
 
-def _embedding_candidates(a: IntSet, basis):
-    """Two-parallel-lines structures of the universal planar embedding read
-    off the certified nullspace `basis`, cheapest total length first."""
-    k = len(a)
-    # project out the constant direction, keep the first two independent
-    # vectors: w is independent of u iff a 2x2 minor on a pivot of u is nonzero
-    picked: list[tuple[int, ...]] = []
-    for v in basis:
-        w = tuple(x - v[0] for x in v)
-        if not picked and any(w):
-            picked.append(w)
-        elif picked:
-            u = picked[0]
-            i = next(i for i, x in enumerate(u) if x)
-            if any(u[i] * y - x * w[i] for x, y in zip(u, w)):
-                picked.append(w)
-                break
-    if len(picked) < 2:
-        raise ConsistencyError("2-dimensional set without a planar embedding")
-    vx, vy = picked
-    pts = [(vx[i], vy[i]) for i in range(k)]
-    dirs = set()
-    for (x1, y1), (x2, y2) in itertools.combinations(pts, 2):
-        dx, dy = x2 - x1, y2 - y1
-        g = gcd(dx, dy)
-        dx, dy = dx // g, dy // g
-        if dx < 0 or (dx == 0 and dy < 0):
-            dx, dy = -dx, -dy
-        dirs.add((dx, dy))
-    candidates = []
-    for dx, dy in sorted(dirs):
-        cross = [x * dy - y * dx for x, y in pts]
-        levels = sorted(set(cross))
-        if len(levels) != 2:
-            continue
-        groups = [
-            [i for i in range(k) if cross[i] == lv] for lv in levels
-        ]
-        ts = []
-        for grp in groups:
-            bx, by = pts[grp[0]]
-            tvals = []
-            for i in grp:
-                t = (pts[i][0] - bx) // dx if dx else (pts[i][1] - by) // dy
-                tvals.append((t, i))
-            tvals.sort()
-            ts.append(tvals)
-        g = 0
-        for tvals in ts:
-            for (t1, _), (t2, _) in zip(tvals, tvals[1:]):
-                g = gcd(g, t2 - t1)
-        g = max(g, 1)
-        lengths = [
-            (tvals[-1][0] - tvals[0][0]) // g + 1 for tvals in ts
-        ]
-        candidates.append((sum(lengths), (dx, dy), ts, g, lengths))
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    return pts, candidates
+def _step_lines(elems: list[int], r: int) -> tuple[ApDescriptor, ApDescriptor] | None:
+    """The two step-r lines that can carry a cover of the sorted elems, or
+    None past two residue classes mod r.  Two classes are the two lines.  In
+    one class, 2P1 misses P1 + P2 only if the gap between the lines is wider
+    than P1, and P1 + P2 misses 2P2 only if it is wider than P2, so the cut
+    is at the widest gap, then the only one that wide (ties take the last).
+    Each line is the shortest step-r progression through its part."""
+    classes: dict[int, list[int]] = {}
+    for e in elems:
+        classes.setdefault(e % r, []).append(e)
+    if len(classes) > 2:
+        return None
+    if len(classes) == 2:
+        parts = sorted(classes.values())
+    else:
+        cut = max((y - x, i) for i, (x, y) in enumerate(zip(elems, elems[1:])))[1] + 1
+        parts = [elems[:cut], elems[cut:]]
+    p1, p2 = (ApDescriptor(g[0], r, (g[-1] - g[0]) // r + 1) for g in parts)
+    return p1, p2
+
+
+def _disjoint(x: int, m: int, y: int, n: int, r: int) -> bool:
+    """Are x + r*[0, m) and y + r*[0, n) disjoint?"""
+    t, off = divmod(y - x, r)
+    return off != 0 or t >= m or t + n <= 0
+
+
+def _two_lines_postconditions_ok(p1: ApDescriptor, p2: ApDescriptor, bound: int) -> bool:
+    """2P1, P1 + P2 and 2P2 pairwise disjoint and |P1 u P2| <= bound, by
+    progression arithmetic: each sum is a start plus r*[0, n).  Disjoint
+    sums make P1 and P2 disjoint (x in both puts 2x in 2P1 and P1 + P2), so
+    then |P1 u P2| = n1 + n2."""
+    (s1, r, n1), (s2, n2) = (p1.start, p1.step, p1.length), (p2.start, p2.length)
+    sums = ((2 * s1, 2 * n1 - 1), (s1 + s2, n1 + n2 - 1), (2 * s2, 2 * n2 - 1))
+    return n1 + n2 <= bound and all(
+        _disjoint(*x, *y, r) for x, y in itertools.combinations(sums, 2)
+    )
 
 
 def two_lines_cover(a: IntSet) -> TwoLinesCover:
     """Cover a 2-dimensional set by two progressions with one common step.
 
-    Requires dim(a) = 2, |2a| <= (10/3)|a| - 7 and |a| >= 11.  Postconditions
-    (union covers a, |P1 u P2| <= |2a| - 2|a| + 3, and 2P1, P1+P2, 2P2
-    pairwise disjoint) are checked on every candidate; the embedding route is
-    tried first, then a direct step search in Z.
+    Requires |a| >= 11, |2a| <= (10/3)|a| - 7 and dim(a) = 2.  The cover
+    has union |P1 u P2| <= |2a| - 2|a| + 3, and 2P1, P1 + P2, 2P2 pairwise
+    disjoint; the first step r, in ascending order, whose lines (see
+    _step_lines) meet these postconditions gives it.
+
+    The steps tried.  Of the three least members e0 < e1 < e2 two lie on one
+    line, so r divides e1 - e0, e2 - e0 or e2 - e1; the divisors of those
+    three numbers hold every step that can pass.
+
+    The cover is its own certificate of dim(a) = 2.  With P1 = s1 + r*[0, n1)
+    and P2 = s2 + r*[0, n2), L(u, v) = s1 + r*u + (s2 - s1)*v maps a set S in
+    Z x {0, 1} onto a.  Every sum of two members lies in exactly one of 2P1,
+    P1 + P2 and 2P2, which fixes v + v'; then r*(u + u') fixes u + u'.  So L
+    is a Freiman isomorphism from S onto a, and S is not collinear: both
+    lines meet a and one holds two members.  Hence dim(a) >= 2.  Freiman's
+    lemma gives |2a| >= 4|a| - 6 at dim(a) >= 3, above (10/3)|a| - 7, so
+    dim(a) = 2 and a found cover needs no rank.
+
+    Only when no step passes, or a size precondition fails, is the
+    dimension computed: PreconditionFailedError names every failed
+    precondition, and ConsistencyError a 2-dimensional set left without a
+    cover, which would contradict the structure theorem behind these
+    postconditions (Freiman's (10/3)k - 5 theorem for planar sets; Freiman
+    1973, Stanchescu, Acta Arith. 83, 1998).
     """
     k = len(a)
-    two_a = int_sumset(a)
+    size_2a = len(int_sumset(a))
     failures = []
     if k < 11:
         failures.append(f"|A| = {k} < 11")
-    if 3 * len(two_a) > 10 * k - 21:
-        failures.append(f"3|2A| = {3 * len(two_a)} > 10|A| - 21 = {10 * k - 21}")
-    dim, basis = _dimension(a) if k >= 2 else (0, None)
+    if 3 * size_2a > 10 * k - 21:
+        failures.append(f"3|2A| = {3 * size_2a} > 10|A| - 21 = {10 * k - 21}")
+    if not failures:
+        elems = list(a.elements)
+        e0, e1, e2 = elems[:3]
+        for r in sorted(_divisors(e1 - e0) | _divisors(e2 - e0) | _divisors(e2 - e1)):
+            lines = _step_lines(elems, r)
+            if lines and _two_lines_postconditions_ok(*lines, size_2a - 2 * k + 3):
+                return TwoLinesCover(*lines)
+    dim = additive_dimension_value(a) if k >= 2 else 0
     if dim != 2:
         failures.append(f"dim = {dim} != 2")
     if failures:
         raise PreconditionFailedError("; ".join(failures))
-
-    pts, candidates = _embedding_candidates(a, basis.tolist())
-    elems = list(a.elements)
-    phi = {pts[i]: elems[i] for i in range(k)}
-    ell = affine_extension(pts, phi) if candidates else None
-    for _total, (dx, dy), ts, g, lengths in candidates:
-        aps = []
-        ok = True
-        for tvals, length in zip(ts, lengths):
-            i0 = tvals[0][1]
-            start = elems[i0]
-            step_q = g * (ell.coeffs[0] * dx + ell.coeffs[1] * dy)
-            if step_q.denominator != 1:
-                ok = False
-                break
-            step = int(step_q)
-            if step == 0:
-                if length != 1:
-                    ok = False
-                    break
-                aps.append((start, 1, 1))
-                continue
-            if step < 0:
-                start = start + (length - 1) * step
-                step = -step
-            aps.append((start, step, length))
-        if not ok or len(aps) != 2:
-            continue
-        step_common = max(aps[0][1], aps[1][1])
-        aps = [
-            (s, step_common if ln == 1 else st, ln) for (s, st, ln) in aps
-        ]
-        aps.sort()
-        p1 = ApDescriptor(*aps[0])
-        p2 = ApDescriptor(*aps[1])
-        if _two_lines_postconditions_ok(a, p1, p2):
-            return TwoLinesCover(p1, p2, "embedding")
-
-    direct = _direct_two_lines(a, two_a)
-    if direct is not None:
-        return direct
     raise ConsistencyError(
         "no two-progression cover satisfied the postconditions; this would "
         "falsify the structure theorem for 2-dimensional sets"
     )
-
-
-def _direct_two_lines(a: IntSet, two_a: IntSet) -> TwoLinesCover | None:
-    """Step search in Z: a valid pair with common step r forces a into at
-    most two residue classes mod r; split within a class at the widest gap."""
-    elems = list(a.elements)
-    steps = set()
-    for x, y in itertools.combinations(elems, 2):
-        dlt = abs(x - y)
-        i = 1
-        while i * i <= dlt:
-            if dlt % i == 0:
-                steps.add(i)
-                steps.add(dlt // i)
-            i += 1
-    for r in sorted(steps):
-        classes: dict[int, list[int]] = {}
-        for e in elems:
-            classes.setdefault(e % r, []).append(e)
-        if len(classes) > 2:
-            continue
-        if len(classes) == 2:
-            g1, g2 = sorted(classes.values())
-            pair = _aps_for_groups([sorted(g1), sorted(g2)], r)
-        else:
-            (g1,) = classes.values()
-            g1 = sorted(g1)
-            gaps = [
-                (g1[i + 1] - g1[i], i) for i in range(len(g1) - 1)
-            ]
-            if not gaps:
-                continue
-            _, cut = max(gaps)
-            pair = _aps_for_groups([g1[: cut + 1], g1[cut + 1 :]], r)
-        if pair is None:
-            continue
-        p1, p2 = pair
-        if _two_lines_postconditions_ok(a, p1, p2):
-            return TwoLinesCover(p1, p2, "direct")
-    return None
-
-
-def _aps_for_groups(groups, r) -> tuple[ApDescriptor, ApDescriptor] | None:
-    aps = []
-    for grp in groups:
-        if not grp:
-            return None
-        length = (grp[-1] - grp[0]) // r + 1
-        aps.append(ApDescriptor(grp[0], r, length))
-    return aps[0], aps[1]
 
 
 @dataclass(frozen=True)

@@ -153,3 +153,34 @@ def brute_nullspace(rows, ncols):
             v[col] = -base[free]
         basis.append(v)
     return len(pivots), sorted(pivots), basis
+
+
+def brute_two_lines_steps(elements):
+    """Every step r for which the elements split into two nonempty parts
+    lying on step-r lines P1, P2 (the shortest step-r progressions through
+    each part) with |P1 u P2| <= |2A| - 2|A| + 3 and 2P1, P1 + P2, 2P2
+    pairwise disjoint, all checked as plain sets.  Every r up to the span
+    and every split is tried; an r whose residues split A into more than two
+    classes is skipped whole, since no split puts it on two step-r lines."""
+    a = sorted(elements)
+    k = len(a)
+    bound = len(naive_sumset(a)) - 2 * k + 3
+    steps = []
+    for r in range(1, a[-1] - a[0] + 1):
+        if len({x % r for x in a}) > 2:
+            continue
+        for mask in range(1, 2 ** (k - 1)):  # the last member stays in part two
+            parts = [[], []]
+            for i, x in enumerate(a):
+                parts[0 if mask >> i & 1 else 1].append(x)
+            if any((x - part[0]) % r for part in parts for x in part):
+                continue
+            p1, p2 = (set(range(part[0], part[-1] + 1, r)) for part in parts)
+            if len(p1 | p2) > bound:
+                continue
+            s11, s22 = naive_sumset(p1), naive_sumset(p2)
+            s12 = {x + y for x in p1 for y in p2}
+            if not (s11 & s12 or s11 & s22 or s12 & s22):
+                steps.append(r)
+                break
+    return steps

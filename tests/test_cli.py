@@ -257,3 +257,29 @@ def test_integer_sumset_past_span_cap_exits_1(capsys):
     code, out, err = invoke(capsys, "sumset", "{0,1000000000000000}")
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and "reaches the cap 4194304" in err
+
+
+def test_hunt_cap_defaults_to_the_library_cap(monkeypatch):
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    from addcomb.cli import build_parser
+    from addcomb.search import HUNT_DEFAULT_MAX_P
+
+    assert build_parser().parse_args(["hunt", "--primes", "5"]).max_p == HUNT_DEFAULT_MAX_P
+    path = Path(__file__).parents[1] / "scripts" / "run_conjecture_hunt.py"
+    spec = importlib.util.spec_from_file_location("run_conjecture_hunt", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    calls = []
+
+    def hunt(primes, threads, max_p):
+        calls.append(max_p)
+        raise SystemExit(0)
+
+    monkeypatch.setattr(script, "hunt_conjecture", hunt)
+    monkeypatch.setattr(sys, "argv", ["run_conjecture_hunt.py", "--primes", "5"])
+    with pytest.raises(SystemExit):
+        script.main()
+    assert calls == [HUNT_DEFAULT_MAX_P]

@@ -214,6 +214,57 @@ def test_dimension_past_row_budget_falls_back(monkeypatch):
     assert t.result.witness.covers(a.elements())
 
 
+def test_dimension_two_trace_is_pinned():
+    # the captured part [0, 60) u [200, 250) is 2-dimensional; its two-lines
+    # cover gives c = 200 and widths 60, 50, no subcase test fires, and the
+    # sweep finishes with [0, 302)
+    p = 601
+    near, far = list(range(60)), list(range(200, 250))
+    a = rs(p, near + far + [301])
+    assert prove_cover(a).to_json() == {
+        "schema_version": 1,
+        "input": a.literal(),
+        "window": {
+            "d": 1,
+            "u": 0,
+            "captured": rs(p, near + far).literal(),
+            "window_size": 301,
+            "mode": "exact",
+        },
+        "branch": BRANCH_FALLBACK,
+        "a1_doubling_ok": True,
+        "dim_a1": 2,
+        "c": 200,
+        "parts": {
+            "a1_near": rs(p, near).literal(),
+            "a1_far": rs(p, far).literal(),
+            "remainder": rs(p, [301]).literal(),
+        },
+        "dilation_used": 1,
+        "result": {
+            "length": 302,
+            "witness": {"start": 0, "step": 1, "length": 302, "modulus": p},
+            "bound": 319,
+            "within_bound": True,
+        },
+        "diagnostic": None,
+        "annotations": {
+            "window_capture": 110,
+            "window_capture_lower_bound": pytest.approx(84.01724329901678),
+            "capture_above_0.8175": True,
+            "a1_size": 110,
+            "a1_sumset_size": 327,
+            "segments_overlap": False,
+            "near_segment_share_ok": True,
+            "segment_widths": [60, 50],
+            "case_tests": {"i": False, "ii": False, "iii": False},
+            "c_near_half_p": True,
+            "c_near_third_p": True,
+            "fallback_reason": "no subcase intersection fired",
+        },
+    }
+
+
 def test_pair_budget_falls_back(monkeypatch):
     a = rs(601, list(range(60)) + list(range(200, 250)) + [301])
     monkeypatch.setattr(freiman, "PAIR_BUDGET", 1000)

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb import freiman, residues
+from addcomb import freiman, linalg, residues
 from addcomb.errors import (
+    ConsistencyError,
     NotFreimanIsomorphismError,
     NotFullDimensionalError,
     NotRectifiableError,
@@ -34,10 +35,10 @@ from addcomb.freiman import (
     required_spanning_rows,
     two_lines_cover,
 )
-from addcomb.intsets import IntSet, normal_form, sumset
+from addcomb.intsets import ApDescriptor, IntSet, normal_form, sumset
 from addcomb.residues import ResidueSet
 from addcomb.search import _dimension_stacks, _normal_form_subsets, run_suite, verify_family
-from conftest import brute_pair_classes, brute_rectifiable
+from conftest import brute_pair_classes, brute_rectifiable, brute_two_lines_steps, naive_sumset
 
 small_int_sets = st.sets(st.integers(0, 40), min_size=2, max_size=8).map(
     IntSet.from_iterable
@@ -445,10 +446,139 @@ def test_two_lines_postconditions_verified_directly():
 
 
 def test_two_lines_preconditions():
-    with pytest.raises(PreconditionFailedError):
-        two_lines_cover(IntSet.from_iterable(range(11)))  # dim 1
-    with pytest.raises(PreconditionFailedError):
-        two_lines_cover(IntSet.of(0, 1, 10, 11))  # |A| < 11
+    # every failed precondition is named; the dimension is computed for the
+    # message once the step search has found nothing
+    for els, message in (
+        (range(11), "dim = 1 != 2"),
+        (range(48), "dim = 1 != 2"),  # past 45 members propagation settles it
+        ([0, 4, 8, 12, 24, 32, 36, 40, 44, 48, 68], "3|2A| = 93 > 10|A| - 21 = 89; dim = 1 != 2"),
+        ([0, 1, 10, 11], "|A| = 4 < 11; 3|2A| = 27 > 10|A| - 21 = 19"),
+        ([0, 1, 3, 7, 12, 20, 30, 44, 60, 80, 100], "3|2A| = 183 > 10|A| - 21 = 89; dim = 6 != 2"),
+    ):
+        with pytest.raises(PreconditionFailedError) as err:
+            two_lines_cover(IntSet.from_iterable(els))
+        assert str(err.value) == message
+
+
+def _small_two_lines_candidate(rng):
+    """At most 13 members with a small span: two progressions with one step,
+    apart or interleaved, whole or less one member; or a subset of a short
+    interval."""
+    k = rng.randrange(11, 14)
+    style = rng.randrange(4)
+    if style < 2:
+        r, n1 = rng.randrange(1, 4), rng.randrange(2, k - 1)
+        s2 = r * rng.randrange(2 * n1 + k) + rng.randrange(r)
+        pool = {*range(0, r * (n1 + style), r), *range(s2, s2 + r * (k - n1), r)}
+    else:
+        pool = range(rng.randrange(k, k + 6) if style == 2 else rng.randrange(k, 30))
+    return sorted(rng.sample(sorted(pool), min(k, len(pool))))
+
+
+def test_two_lines_cover_matches_brute_oracle():
+    # the step search answers iff some step and split meet the
+    # postconditions, and with the least such step
+    rng = random.Random(0x7A0)
+    answered = refused = 0
+    while answered + refused < 120:
+        a = _small_two_lines_candidate(rng)
+        if len(a) < 11 or 3 * len(naive_sumset(a)) > 10 * len(a) - 21:
+            continue
+        steps = brute_two_lines_steps(a)
+        try:
+            res = two_lines_cover(IntSet.from_iterable(a))
+        except PreconditionFailedError:
+            assert not steps, a
+            refused += 1
+            continue
+        assert res.p1.step == res.p2.step == min(steps), a
+        answered += 1
+    assert answered >= 20 and refused >= 20
+
+
+def test_two_lines_at_the_touching_gap():
+    # [0, 6) u [s, s + 6): 2P1 = [0, 10] and P1 + P2 = [s, s + 10] may touch
+    # but not overlap, so the cover appears at s = 11; below it |2A| < 3|A| - 3
+    # and the set is 1-dimensional
+    for s in range(6, 16):
+        a = [*range(6), *range(s, s + 6)]
+        assert brute_two_lines_steps(a) == ([1] if s >= 11 else [])
+        if s < 11:
+            with pytest.raises(PreconditionFailedError, match="dim = 1 != 2"):
+                two_lines_cover(IntSet.from_iterable(a))
+            continue
+        res = two_lines_cover(IntSet.from_iterable(a))
+        assert (res.p1, res.p2) == (ApDescriptor(0, 1, 6), ApDescriptor(s, 1, 6))
+
+
+def test_two_lines_interleaved():
+    # residues 0 and 1 mod 3 keep 2P1, P1 + P2 and 2P2 apart however the
+    # lines overlap; the least three members differ by 1, 3 and 2, so only
+    # the difference e2 - e0 = 3 holds the step
+    a = IntSet.from_iterable([*range(0, 21, 3), *range(1, 19, 3)])
+    res = two_lines_cover(a)
+    assert (res.p1, res.p2) == (ApDescriptor(0, 3, 7), ApDescriptor(1, 3, 6))
+
+
+def _two_lines_corpus(rng, count):
+    """Two-interval sets like C10's, and subsets of two progressions with one
+    step, with a stray member now and then."""
+    for t in range(count):
+        if t % 2:
+            n1, n2 = rng.randrange(2, 12), rng.randrange(2, 14)
+            gap = rng.randrange(4 * (n1 + n2), 12 * (n1 + n2))
+            scale, shift = rng.randrange(1, 7), rng.randrange(-50, 50)
+            els = [scale * x + shift for x in [*range(n1), *range(gap, gap + n2)]]
+        else:
+            r, n1, n2 = rng.randrange(1, 8), rng.randrange(2, 40), rng.randrange(2, 40)
+            s2 = r * rng.randrange(4 * (n1 + n2)) + rng.randrange(r)
+            keep = rng.uniform(0.8, 1.0)
+            lines = [*range(0, r * n1, r), *range(s2, s2 + r * n2, r)]
+            els = [x for x in lines if rng.random() < keep]
+            if rng.random() < 0.25:
+                els.append(rng.randrange(-50, s2 + r * n2 + 50))
+        yield IntSet.from_iterable(els)
+
+
+def test_two_lines_cover_certifies_dimension_two(monkeypatch):
+    # a found cover proves dim = 2 on its own: no rank is taken, and the
+    # rank taken afterwards agrees
+    ranks = []
+    stack = linalg.echelon_stack
+    monkeypatch.setattr(linalg, "echelon_stack", lambda rows: ranks.append(1) or stack(rows))
+    answered = 0
+    for a in _two_lines_corpus(random.Random(0xD12), 300):
+        ranks.clear()
+        try:
+            res = two_lines_cover(a)
+        except PreconditionFailedError:
+            continue
+        assert not ranks, a
+        assert res.p1.start < res.p2.start and res.p1.step == res.p2.step
+        assert res.union_size <= len(sumset(a)) - 2 * len(a) + 3
+        assert additive_dimension_value(a) == 2 and ranks, a
+        answered += 1
+    assert answered >= 100
+
+
+def test_two_lines_cover_past_the_row_budget():
+    # 1,100 members need more required rows than the budget allows, but the
+    # step search needs none
+    a = IntSet.from_iterable(3 * x + 11 for x in [*range(600), *range(9000, 9500)])
+    with pytest.raises(SearchRangeError):
+        additive_dimension_value(a)
+    res = two_lines_cover(a)
+    assert (res.p1.start, res.p1.step, res.p1.length) == (11, 3, 600)
+    assert (res.p2.start, res.p2.step, res.p2.length) == (27011, 3, 500)
+    assert res.union_size == 1100 == len(sumset(a)) - 2 * len(a) + 3
+
+
+def test_two_lines_without_cover_is_a_consistency_error(monkeypatch):
+    # a 2-dimensional set the search cannot cover would contradict the
+    # structure theorem; with every step refused it is reported as such
+    monkeypatch.setattr(freiman, "_step_lines", lambda elems, r: None)
+    with pytest.raises(ConsistencyError, match="structure theorem"):
+        two_lines_cover(_two_interval_set())
 
 
 # --- affine extension ---------------------------------------------------------------
