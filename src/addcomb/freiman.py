@@ -566,7 +566,7 @@ def _two_lines_postconditions_ok(p1: ApDescriptor, p2: ApDescriptor, bound: int)
     progression arithmetic: each sum is a start plus r*[0, n).  Disjoint
     sums make P1 and P2 disjoint (x in both puts 2x in 2P1 and P1 + P2), so
     then |P1 u P2| = n1 + n2."""
-    (s1, r, n1), (s2, n2) = (p1.start, p1.step, p1.length), (p2.start, p2.length)
+    s1, s2, r, n1, n2 = p1.start, p2.start, p1.step, p1.length, p2.length
     sums = ((2 * s1, 2 * n1 - 1), (s1 + s2, n1 + n2 - 1), (2 * s2, 2 * n2 - 1))
     return n1 + n2 <= bound and all(
         _disjoint(*x, *y, r) for x, y in itertools.combinations(sums, 2)
