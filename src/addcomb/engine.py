@@ -7,8 +7,14 @@ constants driving the original argument are density statements far out of
 reach at this scale, so every gate here uses the measured quantity (actual
 capture, actual cover lengths) and the trace records both the measurement
 and the classical interval test it replaces.  Any branch whose concrete
-precondition fails falls back to the exact sweep; no input produces a silent
-wrong answer.
+precondition fails falls back to the exact sweep, so every exit returns a
+cover that _verify has re-checked; ConsistencyError means that a proven
+guarantee failed.
+
+freiman.dimension_and_lines decides the captured part's dimension and hands
+case 2 its two lines; a found cover certifies dimension 2 with no rank, so
+case 2 runs past the rank's budgets.  Case 2(i), excluded by the argument's
+density hypotheses but met at this scale, falls back naming its witness.
 
 In exact mode (p <= 2^14) a query can finish with a cover of its own only on
 the whole-set branch.  The exact window search maximizes the capture over
@@ -17,9 +23,9 @@ dilations d <= (p-1)/2 stand for all of them).  Every map that case 1, 2(ii)
 or 2(iii) tries has the form x -> s*x + t with s a unit, and its image fits
 a half window only if s*A has full capture.  So when the best capture is
 below |A|, each of them fails its window-fit test and the query ends in the
-fallback (or in the case 2(i) diagnostic).  The captured-part branches can
-finish only in Fourier mode, where the window is the top frequency's, not
-the best.
+fallback.  The captured-part branches, case 2's among them, can finish only
+in Fourier mode (p > 2^14), where the window is the top frequency's, not the
+best.
 """
 
 from __future__ import annotations
@@ -28,27 +34,23 @@ from dataclasses import dataclass, field
 from . import bits
 from .errors import ConsistencyError, HypothesisNotMetError, PreconditionFailedError, PrimeRequiredError, SearchRangeError
 from .covering import CoverResult, _min_ap_cover
-from .freiman import additive_dimension_value, two_lines_cover
+from .freiman import dimension_and_lines
 from .intsets import ApDescriptor, IntSet, cover_3k4, min_cover_ap, sumset as int_sumset
 from .residues import ResidueSet, cross_sum_mask, dilate, half_window_fit, sumset
 from .spectral import RectWindow, best_half_window, spectrum
 
 BRANCH_WHOLE = "whole_set_rectifiable"
 BRANCH_CASE1 = "case1"
-BRANCH_CASE2_I = "case2_i"
 BRANCH_CASE2_II = "case2_ii"
 BRANCH_CASE2_III = "case2_iii"
 BRANCH_FALLBACK = "fallback"
-BRANCH_DIAGNOSTIC = "diagnostic"
 
 BRANCHES = {
     BRANCH_WHOLE,
     BRANCH_CASE1,
-    BRANCH_CASE2_I,
     BRANCH_CASE2_II,
     BRANCH_CASE2_III,
     BRANCH_FALLBACK,
-    BRANCH_DIAGNOSTIC,
 }
 
 
@@ -95,8 +97,7 @@ class EngineTrace:
     c: int | None = None
     parts: dict[str, ResidueSet] | None = None  # original coordinates
     dilation_used: int = 1
-    result: CoverResult | None = None
-    diagnostic: str | None = None
+    result: CoverResult | None = None  # set, and verified, on every exit
     annotations: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
@@ -114,8 +115,8 @@ class EngineTrace:
                 {k: v.literal() for k, v in self.parts.items()} if self.parts else None
             ),
             "dilation_used": self.dilation_used,
-            "result": self.result.to_json() if self.result else None,
-            "diagnostic": self.diagnostic,
+            "result": self.result.to_json(),
+            "diagnostic": None,  # schema 1 keeps the key; no exit sets it
             "annotations": self.annotations,
         }
 
@@ -166,9 +167,9 @@ def _finish_by_rectifying(
 def prove_cover(a: ResidueSet) -> EngineTrace:
     """Run the covering pipeline on a, returning the full trace.
 
-    Never raises on mathematical failure: branches whose concrete hypotheses
-    fail at this scale route to the exact-sweep fallback, contradictory
-    configurations produce a diagnostic trace.
+    Every exit carries a verified cover: branches whose concrete hypotheses
+    fail at this scale, case 2(i) among them, route to the exact-sweep
+    fallback.  ConsistencyError only when a proven guarantee fails.
     """
     p = a.modulus
     if not a.prime_modulus:
@@ -207,23 +208,12 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     if not trace.a1_doubling_ok:
         return _fallback(trace, a, two_a, "captured part fails |2A1| <= 3.04|A1| - 7")
 
-    # Freiman's lemma: dim >= 2 forces |2A1| >= 3|A1| - 3
+    # the gate puts A1 in the domain: |2A1| >= 3|A1| - 3 forces |A1| >= 100
     try:
-        dim = 1 if len(two_a1) <= 3 * k1 - 4 else additive_dimension_value(a1_ints)
+        trace.dim_a1, tl = dimension_and_lines(a1_ints, len(two_a1))
     except SearchRangeError as e:
         return _fallback(trace, a, two_a, f"dimension of the captured part: {e}")
-    trace.dim_a1 = dim
-    if dim >= 3:
-        # impossible alongside the doubling check by the dimension lower
-        # bound; reaching this means an implementation bug upstream
-        trace.branch = BRANCH_DIAGNOSTIC
-        trace.diagnostic = (
-            f"dim(A1) = {dim} with |2A1| = {len(two_a1)} <= 3.04|A1| - 7 "
-            "contradicts the dimension lower bound"
-        )
-        return trace
-
-    if dim == 1:
+    if tl is None:
         ap1 = min_cover_ap(a1_ints)
         trace.annotations["a1_cover_step"] = ap1.step
         trace.annotations["a1_cover_length"] = ap1.length
@@ -237,11 +227,6 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
             return trace
         return _fallback(trace, a, two_a, "case-1 re-dilation did not rectify")
 
-    # dim == 2
-    try:
-        tl = two_lines_cover(a1_ints)
-    except PreconditionFailedError as e:
-        return _fallback(trace, a, two_a, f"two-progression structure unavailable: {e}")
     r, s1 = tl.p1.step, tl.p1.start
     # orientation: first segment is the progression holding more of A1
     n1 = sum(
@@ -253,8 +238,9 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     c = r_inv * (second.start - first.start) % p
     trace.c = c
     w1, w2 = first.length, second.length
-    # segment membership is decided for A1 (the captured part); the
-    # remainder R is everything outside the window
+    # segment membership is decided for A1 (the captured part); A1 lies in
+    # the two segments, so the remainder R is A minus A1, nonempty below
+    # full capture
     a1_orig = dilate(window.captured, pow(window.d, -1, p))
     analysis = two_segment_analysis(
         p, norm.apply_set(a).mask, norm.apply_set(a1_orig).mask, c, w1, w2
@@ -280,16 +266,12 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     trace.annotations["c_near_half_p"] = abs(c - p / 2) <= 4.5 * k
     trace.annotations["c_near_third_p"] = abs(c - p / 3) <= 3 * k
 
-    if analysis.remainder == 0:
-        return _fallback(trace, a, two_a, "no remainder outside the two segments")
     if analysis.test_i:
+        # excluded by the argument's density hypotheses, not at this scale
         witness = bits.elements_of(analysis.test_i)[0]
-        trace.branch = BRANCH_CASE2_I
-        trace.diagnostic = (
-            f"(far + remainder) meets 2*far at {witness}; under the stated "
-            "hypotheses this configuration cannot occur"
+        return _fallback(
+            trace, a, two_a, f"case 2(i): (far + remainder) meets 2*far at {witness}"
         )
-        return trace
     for fired, dil, branch in (
         (analysis.test_ii, 2, BRANCH_CASE2_II),
         (analysis.test_iii, 3, BRANCH_CASE2_III),
@@ -359,8 +341,6 @@ def _fallback(
 def _verify(trace: EngineTrace, a: ResidueSet, two_a: ResidueSet) -> None:
     """Independent re-check of every returned cover (soundness gate)."""
     res = trace.result
-    if res is None:
-        return
     if not res.witness.covers(a.elements()):
         raise ConsistencyError("engine witness does not cover the input")
     bound = len(two_a) - len(a) + 1

@@ -16,8 +16,10 @@ test's class tables all read it.
 
 The two-progressions cover of a 2-dimensional set is the exception: a step
 search in Z with progression arithmetic for its postconditions.  A cover it
-finds is itself a certificate of dimension 2, so it builds no rows; the
-rank runs only to word a refusal.
+finds is itself a certificate of dimension 2, so it builds no rows.  For a
+set of small doubling, dimension_and_lines decides the dimension in order of
+cost: Freiman's lemma, then that search, and the rank only when both leave
+it open, where the structure theorem says it must give 1.
 """
 
 from __future__ import annotations
@@ -25,8 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import isqrt
 from operator import mul
 
 import numpy as np
@@ -42,6 +42,7 @@ from .errors import (
     UndefinedDimensionError,
 )
 from .intsets import ApDescriptor, IntSet, normal_form, sumset as int_sumset
+from .primes import divisors
 from .residues import ResidueSet, half_units, half_window_fit
 
 def _ground(obj) -> tuple[list, int | None]:
@@ -54,24 +55,6 @@ def _ground(obj) -> tuple[list, int | None]:
     if len(set(elems)) != len(elems):
         raise ValueError("ground set has repeated elements")
     return elems, None
-
-
-# Building the index pairs costs more than the rest of the kernel for the
-# small sets the suites sweep by the thousand, so those are kept.
-_CACHED_PAIRS_MAX_K = 64
-
-
-@lru_cache(maxsize=None)
-def _small_upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    pairs = np.triu_indices(k)
-    for index in pairs:
-        index.flags.writeable = False  # shared by every caller
-    return pairs
-
-
-def _upper_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pairs i <= j, row-major."""
-    return _small_upper_pairs(k) if k <= _CACHED_PAIRS_MAX_K else np.triu_indices(k)
 
 
 # Index pairs a set may list.  The pairs, their sums and the sort take about
@@ -112,7 +95,7 @@ def _pair_classes(elems, modulus: int | None):
             f"of {PAIR_BUDGET}"
         )
     v = _exact_array(elems)
-    i, j = _upper_pairs(k)
+    i, j = np.triu_indices(k)
     sums = v[..., i] + v[..., j] if stacked else v[i] + v[j]
     if modulus is not None:
         sums %= modulus
@@ -529,11 +512,6 @@ class TwoLinesCover:
         return self.p1.length + self.p2.length
 
 
-def _divisors(n: int) -> set[int]:
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return {*small, *(n // d for d in small)}
-
-
 def _step_lines(elems: list[int], r: int) -> tuple[ApDescriptor, ApDescriptor] | None:
     """The two step-r lines that can carry a cover of the sorted elems, or
     None past two residue classes mod r.  Two classes are the two lines.  In
@@ -573,33 +551,63 @@ def _two_lines_postconditions_ok(p1: ApDescriptor, p2: ApDescriptor, bound: int)
     )
 
 
+def dimension_and_lines(a: IntSet, size_2a: int) -> tuple[int, TwoLinesCover | None]:
+    """(dim(a), its two-lines cover or None) for a set with |2a| = size_2a
+    <= 3|a| - 4, or |a| >= 11 and |2a| <= (10/3)|a| - 7; outside that domain
+    it raises PreconditionFailedError.
+
+    Freiman's lemma (dim >= 2 forces |2a| >= 3|a| - 3) settles the first
+    case: (1, None).  Otherwise a step search looks for the cover by two
+    progressions with one step: union |P1 u P2| <= |2a| - 2|a| + 3, and
+    2P1, P1 + P2, 2P2 pairwise disjoint.  The first step r, in ascending
+    order, whose lines (see _step_lines) meet these postconditions gives it.
+    Of the three least members e0 < e1 < e2 two lie on one line, so r
+    divides e1 - e0, e2 - e0 or e2 - e1; the divisors of those three numbers
+    hold every step that can pass.
+
+    A found cover certifies dim(a) = 2, so it needs no rank.  With P1 =
+    s1 + r*[0, n1) and P2 = s2 + r*[0, n2), L(u, v) = s1 + r*u + (s2 - s1)*v
+    maps a set S in Z x {0, 1} onto a.  Every sum of two members lies in
+    exactly one of 2P1, P1 + P2 and 2P2, which fixes v + v'; then
+    r*(u + u') fixes u + u'.  So L is a Freiman isomorphism from S onto a,
+    and S is not collinear: both lines meet a and one holds two members.
+    Hence dim(a) >= 2, and Freiman's lemma (|2a| >= 4|a| - 6 at dim >= 3,
+    above (10/3)|a| - 7) caps it at 2.
+
+    Only when no step passes is the rank taken (SearchRangeError past the
+    pair or row budget), and it must give 1: a 2 would falsify the
+    structure theorem behind the postconditions (Freiman's (10/3)k - 5
+    theorem for planar sets; Freiman 1973, Stanchescu, Acta Arith. 83,
+    1998), a 3 or more Freiman's lemma.  Either raises ConsistencyError.
+    """
+    k = len(a)
+    if size_2a <= 3 * k - 4:
+        return 1, None
+    if k < 11 or 3 * size_2a > 10 * k - 21:
+        raise PreconditionFailedError(
+            f"|A| = {k} and |2A| = {size_2a}: neither |2A| <= 3|A| - 4 nor "
+            "|A| >= 11 and 3|2A| <= 10|A| - 21"
+        )
+    elems = list(a.elements)
+    e0, e1, e2 = elems[:3]
+    for r in sorted({*divisors(e1 - e0), *divisors(e2 - e0), *divisors(e2 - e1)}):
+        lines = _step_lines(elems, r)
+        if lines and _two_lines_postconditions_ok(*lines, size_2a - 2 * k + 3):
+            return 2, TwoLinesCover(*lines)
+    dim = additive_dimension_value(a)
+    if dim != 1:
+        raise ConsistencyError(
+            f"dim = {dim} and no two-progression cover satisfied the "
+            "postconditions; this would falsify Freiman's lemma or the "
+            "structure theorem for 2-dimensional sets"
+        )
+    return 1, None
+
+
 def two_lines_cover(a: IntSet) -> TwoLinesCover:
-    """Cover a 2-dimensional set by two progressions with one common step.
-
-    Requires |a| >= 11, |2a| <= (10/3)|a| - 7 and dim(a) = 2.  The cover
-    has union |P1 u P2| <= |2a| - 2|a| + 3, and 2P1, P1 + P2, 2P2 pairwise
-    disjoint; the first step r, in ascending order, whose lines (see
-    _step_lines) meet these postconditions gives it.
-
-    The steps tried.  Of the three least members e0 < e1 < e2 two lie on one
-    line, so r divides e1 - e0, e2 - e0 or e2 - e1; the divisors of those
-    three numbers hold every step that can pass.
-
-    The cover is its own certificate of dim(a) = 2.  With P1 = s1 + r*[0, n1)
-    and P2 = s2 + r*[0, n2), L(u, v) = s1 + r*u + (s2 - s1)*v maps a set S in
-    Z x {0, 1} onto a.  Every sum of two members lies in exactly one of 2P1,
-    P1 + P2 and 2P2, which fixes v + v'; then r*(u + u') fixes u + u'.  So L
-    is a Freiman isomorphism from S onto a, and S is not collinear: both
-    lines meet a and one holds two members.  Hence dim(a) >= 2.  Freiman's
-    lemma gives |2a| >= 4|a| - 6 at dim(a) >= 3, above (10/3)|a| - 7, so
-    dim(a) = 2 and a found cover needs no rank.
-
-    Only when no step passes, or a size precondition fails, is the
-    dimension computed: PreconditionFailedError names every failed
-    precondition, and ConsistencyError a 2-dimensional set left without a
-    cover, which would contradict the structure theorem behind these
-    postconditions (Freiman's (10/3)k - 5 theorem for planar sets; Freiman
-    1973, Stanchescu, Acta Arith. 83, 1998).
+    """The two-lines cover of dimension_and_lines for a set with |a| >= 11
+    and |2a| <= (10/3)|a| - 7.  PreconditionFailedError names each failed
+    size precondition, with no rank taken, or says that a is 1-dimensional.
     """
     k = len(a)
     size_2a = len(int_sumset(a))
@@ -608,22 +616,12 @@ def two_lines_cover(a: IntSet) -> TwoLinesCover:
         failures.append(f"|A| = {k} < 11")
     if 3 * size_2a > 10 * k - 21:
         failures.append(f"3|2A| = {3 * size_2a} > 10|A| - 21 = {10 * k - 21}")
-    if not failures:
-        elems = list(a.elements)
-        e0, e1, e2 = elems[:3]
-        for r in sorted(_divisors(e1 - e0) | _divisors(e2 - e0) | _divisors(e2 - e1)):
-            lines = _step_lines(elems, r)
-            if lines and _two_lines_postconditions_ok(*lines, size_2a - 2 * k + 3):
-                return TwoLinesCover(*lines)
-    dim = additive_dimension_value(a) if k >= 2 else 0
-    if dim != 2:
-        failures.append(f"dim = {dim} != 2")
     if failures:
         raise PreconditionFailedError("; ".join(failures))
-    raise ConsistencyError(
-        "no two-progression cover satisfied the postconditions; this would "
-        "falsify the structure theorem for 2-dimensional sets"
-    )
+    lines = dimension_and_lines(a, size_2a)[1]
+    if lines is None:
+        raise PreconditionFailedError("dim = 1 != 2")
+    return lines
 
 
 @dataclass(frozen=True)

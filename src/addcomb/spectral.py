@@ -40,13 +40,6 @@ EXACT_SEARCH_MAX_P = 1 << 14
 class Spectrum:
     modulus: int
     magnitudes: np.ndarray  # |transform| at d = 0 .. p-1
-    tolerance: float = MAG_TOL
-
-    def to_json(self) -> dict:
-        return {
-            "p": self.modulus,
-            "magnitudes": [float(x) for x in self.magnitudes],
-        }
 
 
 def _indicator(a: ResidueSet) -> np.ndarray:
@@ -76,9 +69,6 @@ class LargeCoefficient:
     d: int
     magnitude: float
     bound: float  # sqrt((p/|2A| - 1) / (p/|A| - 1)) * |A|
-
-    def to_json(self) -> dict:
-        return {"d": self.d, "magnitude": self.magnitude, "bound": self.bound}
 
 
 def large_coefficient_bound(p: int, size: int, sumset_size: int) -> float:

@@ -319,12 +319,14 @@ def test_c09_engine_soundness():
         if t.branch != "fallback":
             assert t.result.within_bound
     fourier_case1 = _fourier_case1_corpus()
+    fourier_case2 = _fourier_case2_corpus()
     _criterion(
         9,
-        "engine soundness, 10^4 sets p <= 2003 and 30 Fourier-mode sets",
+        "engine soundness, 10^4 sets p <= 2003 and 42 Fourier-mode sets",
         True,
         f"branches {branches}, every cover re-verified; Fourier mode "
-        f"{fourier_case1} case1 of 30, {time.monotonic() - started:.1f}s",
+        f"{fourier_case1} case1 of 30, case 2 branches {fourier_case2} of 12, "
+        f"{time.monotonic() - started:.1f}s",
     )
 
 
@@ -349,6 +351,34 @@ def _fourier_case1_corpus() -> int:
         case1 += t.branch == BRANCH_CASE1
     assert case1 >= 20
     return case1
+
+
+def _fourier_case2_corpus() -> dict:
+    """A = [0, L1) u (p/3 + o + [0, L2)) above the exact-search range, with
+    L2 sized so that the dilate by 3 runs a little past the half window:
+    the top frequency d = 3 captures a 2-dimensional A1, and the query
+    reaches case 2 past the pair budget its rank would need."""
+    rng = random.Random(14)
+    branches: dict[str, int] = {}
+    for _ in range(12):
+        p = rng.choice([16411, 16417, 16421, 16433])
+        l1, o = rng.randrange(p // 10, p // 8), rng.randrange(700)
+        l2 = (p + 1) // 6 - o + rng.randrange(10, 200)
+        a = ResidueSet.from_elements(
+            p, [*range(l1), *range(p // 3 + o, p // 3 + o + l2)]
+        )
+        t = prove_cover(a)
+        assert t.window.mode == "fourier"
+        assert t.result.witness.covers(a.elements())
+        assert t.result.bound == len(sumset(a)) - len(a) + 1
+        assert t.result.within_bound == (t.result.length <= t.result.bound)
+        if len(t.window) < len(a):
+            assert t.dim_a1 == 2 and t.c is not None, a.literal()
+        if t.branch != "fallback":
+            assert t.result.within_bound
+        branches[t.branch] = branches.get(t.branch, 0) + 1
+    assert branches.get("case2_ii", 0) >= 2
+    return branches
 
 
 def test_c10_structure_postconditions():

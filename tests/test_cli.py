@@ -88,6 +88,41 @@ def test_hunt_writes_report(tmp_path, capsys):
     assert len(reports) == 1
 
 
+def test_hunt_override_budget_warns(tmp_path, capsys):
+    code, out, err = invoke(
+        capsys, "hunt", "--primes", "5", "--override-budget", "--out", str(tmp_path), "--json"
+    )
+    assert code == 0
+    assert err == "warning: budget override, large primes can take long\n"
+    payload = json.loads(out)
+    assert payload["campaign"] == "hunt-conjecture" and payload["counterexamples"] == []
+    assert len(list(tmp_path.glob("hunt-conjecture-*.json"))) == 1
+
+
+def test_verdict_main_and_vosper(capsys):
+    code, out, _ = invoke(capsys, "verdict", "main", "n=13:{0,1,2,3,5}", "--json")
+    payload = json.loads(out)
+    assert code == 0 and payload["conclusion_holds"] is True
+    assert {"doubling_ok", "density_note", "size", "sumset_size"} <= payload.keys()
+    assert payload["cover"]["length"] == 6 == payload["cover"]["bound"]
+    code, out, _ = invoke(capsys, "verdict", "vosper", "n=13:{0,1,2,3,5}", "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["equality_holds"], payload["is_ap"], payload["agree"]) == (False, False, True)
+    code, out, _ = invoke(capsys, "verdict", "vosper", "n=13:{0,1,2,3,4}")
+    assert code == 0 and out == "equality_holds true\nis_ap true\nagree true\n"
+
+
+def test_suite_writes_report(tmp_path, capsys):
+    code, out, _ = invoke(capsys, "suite", "dim_bound", "--out", str(tmp_path), "--json")
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["campaign"] == "suite-dim_bound" and payload["counterexamples"] == []
+    assert payload["classes_examined"] == 1507
+    (path,) = tmp_path.glob("suite-dim_bound-*.json")
+    assert json.loads(path.read_text())["classes_examined"] == 1507
+
+
 def test_family_verify_exit_code_on_findings(tmp_path, capsys):
     # max_p = 20 includes the coverable t = 3 instance: findings -> exit 2
     code, out, _ = invoke(

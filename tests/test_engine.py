@@ -1,6 +1,6 @@
 import pytest
 
-from addcomb import freiman
+from addcomb import freiman, linalg
 from addcomb.covering import min_ap_cover
 from addcomb.engine import (
     BRANCH_CASE1,
@@ -197,18 +197,23 @@ def test_exact_mode_finishes_only_on_the_whole_set(rng):
     assert reached_case1 >= 20
 
 
+# The window (1, 0) captures A1 = ([0, 102) minus {1}) u {201}, 102 members
+# with |2A1| = 303 = 3|A1| - 3: Freiman's lemma leaves the dimension open,
+# A1 has no two-lines cover and the propagation stalls, so it needs the rank.
+ONE_DIMENSIONAL_601 = [0, *range(2, 102), 201, 450]
+
+
 def test_dimension_past_row_budget_falls_back(monkeypatch):
-    # the window captures A1 = [0, 60) u [200, 250), |2A1| = 327 = 3|A1| - 3,
-    # so the Freiman shortcut does not apply and the dimension needs rows
     p = 601
-    a = rs(p, list(range(60)) + list(range(200, 250)) + [301])
+    a = rs(p, ONE_DIMENSIONAL_601)
     monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 1000)
     t = prove_cover(a)
-    assert (t.window.d, t.window.u, len(t.window)) == (1, 0, 110)
+    assert (t.window.d, t.window.u, len(t.window)) == (1, 0, 102)
+    assert t.annotations["a1_sumset_size"] == 303
     assert t.a1_doubling_ok and t.dim_a1 is None
     assert t.branch == BRANCH_FALLBACK
     assert t.annotations["fallback_reason"] == (
-        "dimension of the captured part: 5778 required rows of 110 entries "
+        "dimension of the captured part: 4950 required rows of 102 entries "
         "exceed the budget of 1000 row entries"
     )
     assert t.result.witness.covers(a.elements())
@@ -266,15 +271,68 @@ def test_dimension_two_trace_is_pinned():
 
 
 def test_pair_budget_falls_back(monkeypatch):
-    a = rs(601, list(range(60)) + list(range(200, 250)) + [301])
+    a = rs(601, ONE_DIMENSIONAL_601)
     monkeypatch.setattr(freiman, "PAIR_BUDGET", 1000)
     t = prove_cover(a)
     assert t.branch == BRANCH_FALLBACK and t.dim_a1 is None
     assert t.annotations["fallback_reason"] == (
-        "dimension of the captured part: 110 elements make 6105 index pairs, "
+        "dimension of the captured part: 102 elements make 5253 index pairs, "
         "past the budget of 1000"
     )
     assert t.result.witness.covers(a.elements())
+
+
+def test_dimension_two_needs_no_pairs_or_rows(monkeypatch):
+    # the two-lines cover certifies dim(A1) = 2 by itself: with both budgets
+    # far below A1's 110 members the query gives the pinned trace of
+    # test_dimension_two_trace_is_pinned, and ranks nothing
+    a = rs(601, list(range(60)) + list(range(200, 250)) + [301])
+    expected = prove_cover(a).to_json()
+    ranks = []
+    stack = linalg.echelon_stack
+    monkeypatch.setattr(linalg, "echelon_stack", lambda rows: ranks.append(1) or stack(rows))
+    monkeypatch.setattr(freiman, "REQUIRED_ROW_ENTRY_BUDGET", 1000)
+    monkeypatch.setattr(freiman, "PAIR_BUDGET", 1000)
+    assert prove_cover(a).to_json() == expected
+    assert expected["dim_a1"] == 2 and not ranks
+
+
+def test_fourier_mode_case2_ii():
+    # at p = 16,411 the top frequency d = 3 captures 4,010 of 4,047 members,
+    # a 2-dimensional A1 with 8,042,055 index pairs, past the pair budget;
+    # its two lines give c = 10,614, subcase (ii) fires, and the dilation
+    # by 2 covers A at exactly the bound
+    p = 16411
+    a = rs(p, [*range(1601), *range(5797, 8243)])
+    t = prove_cover(a)
+    assert t.window.mode == "fourier"
+    assert (t.window.d, len(t.window), len(a)) == (3, 4010, 4047)
+    assert (t.branch, t.dim_a1, t.c, t.dilation_used) == (BRANCH_CASE2_II, 2, 10614, 2)
+    assert t.annotations["case_tests"] == {"i": False, "ii": True, "iii": False}
+    assert t.result.length == 8018 == t.result.bound
+    assert t.result.witness.covers(a.elements())
+
+
+def test_case2_i_falls_back_with_its_witness():
+    # (far + remainder) meets 2*far, the configuration the argument's
+    # density hypotheses exclude; the query keeps the sweep's cover and
+    # names the witness
+    p = 16411
+    a = rs(p, [*range(2836), *range(5604, 9044)])
+    t = prove_cover(a)
+    assert t.window.mode == "fourier" and t.annotations["a1_size"] == 5438
+    assert (t.branch, t.dim_a1, t.c) == (BRANCH_FALLBACK, 2, 5504)
+    assert t.annotations["case_tests"] == {"i": True, "ii": True, "iii": True}
+    assert t.annotations["fallback_reason"] == (
+        "case 2(i): (far + remainder) meets 2*far at 13710"
+    )
+    assert t.result.to_json() == {
+        "length": 9044,
+        "witness": {"start": 0, "step": 1, "length": 9044, "modulus": p},
+        "bound": 10136,
+        "within_bound": True,
+    }
+    assert t.to_json()["diagnostic"] is None
 
 
 def test_trace_json_schema():

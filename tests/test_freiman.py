@@ -26,6 +26,7 @@ from addcomb.freiman import (
     additive_dimension_value,
     additive_dimensions,
     affine_extension,
+    dimension_and_lines,
     dimension_lower_bound_check,
     is_freiman_isomorphic,
     is_rectifiable,
@@ -364,7 +365,6 @@ def test_row_budget_boundary(monkeypatch):
         (additive_dimension, ints),
         (additive_dimension_value, ints),
         (required_spanning_rows, ints),
-        (two_lines_cover, ints),
         (rectify_map, residues),
         (is_rectifiable, unfit),
         (additive_dimensions, stack),
@@ -372,6 +372,9 @@ def test_row_budget_boundary(monkeypatch):
         with pytest.raises(SearchRangeError, match="5 required rows of 5 entries"):
             call(arg)
     assert is_rectifiable(residues)  # the half-window fast path builds no rows
+    with pytest.raises(PreconditionFailedError) as err:  # size, with no rows
+        two_lines_cover(ints)
+    assert str(err.value) == "|A| = 5 < 11; 3|2A| = 30 > 10|A| - 21 = 29"
 
 
 def test_pair_budget_boundary(monkeypatch):
@@ -446,14 +449,14 @@ def test_two_lines_postconditions_verified_directly():
 
 
 def test_two_lines_preconditions():
-    # every failed precondition is named; the dimension is computed for the
-    # message once the step search has found nothing
+    # every failed size precondition is named, with no dimension computed;
+    # past them a set without a cover is 1-dimensional
     for els, message in (
         (range(11), "dim = 1 != 2"),
-        (range(48), "dim = 1 != 2"),  # past 45 members propagation settles it
-        ([0, 4, 8, 12, 24, 32, 36, 40, 44, 48, 68], "3|2A| = 93 > 10|A| - 21 = 89; dim = 1 != 2"),
+        (range(48), "dim = 1 != 2"),
+        ([0, 4, 8, 12, 24, 32, 36, 40, 44, 48, 68], "3|2A| = 93 > 10|A| - 21 = 89"),
         ([0, 1, 10, 11], "|A| = 4 < 11; 3|2A| = 27 > 10|A| - 21 = 19"),
-        ([0, 1, 3, 7, 12, 20, 30, 44, 60, 80, 100], "3|2A| = 183 > 10|A| - 21 = 89; dim = 6 != 2"),
+        ([0, 1, 3, 7, 12, 20, 30, 44, 60, 80, 100], "3|2A| = 183 > 10|A| - 21 = 89"),
     ):
         with pytest.raises(PreconditionFailedError) as err:
             two_lines_cover(IntSet.from_iterable(els))
@@ -571,6 +574,41 @@ def test_two_lines_cover_past_the_row_budget():
     assert (res.p1.start, res.p1.step, res.p1.length) == (11, 3, 600)
     assert (res.p2.start, res.p2.step, res.p2.length) == (27011, 3, 500)
     assert res.union_size == 1100 == len(sumset(a)) - 2 * len(a) + 3
+
+
+def test_two_lines_refuses_on_size_without_a_rank(monkeypatch):
+    # the stray member 5000 breaks the doubling precondition; the refusal
+    # says so at once and builds no rows, so the row budget that the 1,101
+    # members exceed cannot turn it into a SearchRangeError
+    built = []
+    monkeypatch.setattr(freiman, "_spanning_rows", lambda *args: built.append(1))
+    a = IntSet.from_iterable([*(3 * x + 11 for x in [*range(600), *range(9000, 9500)]), 5000])
+    with pytest.raises(PreconditionFailedError) as err:
+        two_lines_cover(a)
+    assert str(err.value) == "3|2A| = 13194 > 10|A| - 21 = 10989" and not built
+
+
+def test_dimension_and_lines_in_order_of_cost(monkeypatch):
+    # Freiman's lemma and a found cover settle the dimension with no rank;
+    # the rank runs only when the step search finds nothing, and must give 1
+    ranks = []
+    stack = linalg.echelon_stack
+    monkeypatch.setattr(linalg, "echelon_stack", lambda rows: ranks.append(1) or stack(rows))
+    assert dimension_and_lines(IntSet.from_iterable(range(12)), 23) == (1, None)
+    two = _two_interval_set()
+    assert dimension_and_lines(two, 33) == (2, two_lines_cover(two))
+    assert not ranks
+    flat = IntSet.of(0, 2, 4, 6, 8, 9, 10, 12, 13, 14, 18, 22)
+    assert len(sumset(flat)) == 33 == 3 * len(flat) - 3
+    assert dimension_and_lines(flat, 33) == (1, None) and ranks
+    # outside |2A| <= 3|A| - 4, or |A| >= 11 and 3|2A| <= 10|A| - 21, a rank
+    # above 1 would prove nothing, so the domain is refused
+    for a, size in ((IntSet.of(0, 1, 10, 11), 9), (flat, 34)):
+        with pytest.raises(PreconditionFailedError, match="neither"):
+            dimension_and_lines(a, size)
+    monkeypatch.setattr(freiman, "additive_dimension_value", lambda a: 3)
+    with pytest.raises(ConsistencyError, match="dim = 3 .* Freiman's lemma"):
+        dimension_and_lines(flat, 33)
 
 
 def test_two_lines_without_cover_is_a_consistency_error(monkeypatch):
