@@ -134,18 +134,27 @@ def _finish_by_rectifying(
     branch: str,
     dilation: int,
 ) -> bool:
-    """Map A through to_norm, require it to sit in a half window, rectify and
-    run the 3k-4 covering, then pull the progression back.  Returns False
-    (leaving the trace untouched except annotations) if any measured
+    """Map A through to_norm and require it to sit in a half window, then
+    cover it there (_cover_in_window).  Returns False (leaving the trace
+    untouched except annotations) if any measured hypothesis fails."""
+    image = to_norm.apply_set(a)
+    fit = half_window_fit(image.elements(), a.modulus, [1])
+    trace.annotations[f"{branch}_window_fit"] = fit is not None
+    return fit is not None and _cover_in_window(
+        trace, a, to_norm, image.mask, fit[1], bound, branch, dilation
+    )
+
+
+def _cover_in_window(
+    trace: EngineTrace, a: ResidueSet, to_norm: AffineResidueMap, image: int, v: int,
+    bound: int, branch: str, dilation: int,
+) -> bool:
+    """Rectify the image mask of A under to_norm, which lies in
+    [v, v + (p+1)/2), run the 3k-4 covering, then pull the progression
+    back.  Returns False (noting it in the annotations) if the 3k-4
     hypothesis fails."""
     p = a.modulus
-    image = to_norm.apply_set(a)
-    fit = half_window_fit(image.elements(), p, [1])
-    trace.annotations[f"{branch}_window_fit"] = fit is not None
-    if fit is None:
-        return False
-    v = fit[1]
-    ints = _rectified_ints(image.mask, p, v)
+    ints = _rectified_ints(image, p, v)
     try:
         ap = cover_3k4(ints)
     except HypothesisNotMetError:
@@ -182,8 +191,10 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
 
     window = best_half_window(a)
     trace = EngineTrace(input=a, window=window)
-    mags = spectrum(a).magnitudes
-    capture_bound = (k + float(mags[window.d])) / 2
+    magnitude = window.magnitude  # Fourier mode: the search's own transform
+    if magnitude is None:
+        magnitude = float(spectrum(a).magnitudes[window.d])
+    capture_bound = (k + magnitude) / 2
     trace.annotations["window_capture"] = len(window)
     trace.annotations["window_capture_lower_bound"] = capture_bound
     if len(window) + 1e-6 < capture_bound:
@@ -194,7 +205,11 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     base_map = AffineResidueMap(p, window.d, -window.u % p)
 
     if len(window) == k:
-        if _finish_by_rectifying(trace, a, base_map, bound, BRANCH_WHOLE, 1):
+        # base_map sends A onto the capture moved to start at 0: it lies in
+        # [0, (p+1)/2) by construction
+        trace.annotations[f"{BRANCH_WHOLE}_window_fit"] = True
+        image = bits.rotate(window.captured.mask, -window.u, p)
+        if _cover_in_window(trace, a, base_map, image, 0, bound, BRANCH_WHOLE, 1):
             _verify(trace, a, two_a)
             return trace
         return _fallback(trace, a, two_a, "whole-set 3k-4 hypothesis failed")

@@ -60,7 +60,9 @@ class ApDescriptor:
     ambient is None for Z, or the modulus n for Z_n.  In Z_n the step is a
     unit normalized to step <= n/2 (a longer-step progression equals the
     reversed progression with step n - step), and length <= n so elements
-    never repeat.
+    never repeat.  Membership goes by index: x is a value iff
+    (x - start) / step is an integer in [0, length), in Z_n by the step's
+    inverse.
     """
 
     start: int
@@ -76,6 +78,8 @@ class ApDescriptor:
         if self.ambient is not None:
             if self.length > self.ambient:
                 raise ValueError("progression longer than the ambient group")
+            if gcd(self.step, self.ambient) != 1:
+                raise ValueError("step must be a unit of the ambient group")
 
     def values(self) -> list[int]:
         if self.ambient is None:
@@ -87,7 +91,12 @@ class ApDescriptor:
         return set(self.values())
 
     def covers(self, elements) -> bool:
-        return set(elements) <= self.value_set()
+        start, step, n = self.start, self.step, self.ambient
+        if n is None:
+            span = step * self.length
+            return all((x - start) % step == 0 and 0 <= x - start < span for x in elements)
+        inv = pow(step, -1, n)
+        return all(0 <= x < n and (x - start) * inv % n < self.length for x in elements)
 
 
 def normalization(a: IntSet) -> tuple[int, int]:
@@ -109,9 +118,10 @@ def normal_form(a: IntSet) -> IntSet:
     return IntSet(tuple((e - shift) // scale for e in a.elements))
 
 
-def sumset(a: IntSet) -> IntSet:
-    """A + A over Z via one shift-OR pass on a translated bitmask, for spans
-    below the residue literals' cap MAX_MODULUS (SearchRangeError past it)."""
+def _sumset_mask(a: IntSet) -> int:
+    """A + A - 2 min(A) as a bitmask, by one shift-OR pass on A translated to
+    start at 0, for spans below the residue literals' cap MAX_MODULUS
+    (SearchRangeError past it)."""
     shift = a.min()
     if a.max() - shift >= MAX_MODULUS:
         raise SearchRangeError(
@@ -121,7 +131,12 @@ def sumset(a: IntSet) -> IntSet:
     out = 0
     for e in a.elements:
         out |= mask << (e - shift)
-    return IntSet(tuple(2 * shift + i for i in bits.elements_of(out)))
+    return out
+
+
+def sumset(a: IntSet) -> IntSet:
+    """A + A over Z (see _sumset_mask for the span cap)."""
+    return IntSet(tuple(2 * a.min() + i for i in bits.elements_of(_sumset_mask(a))))
 
 
 def min_interval_cover(a: IntSet) -> int:
@@ -148,14 +163,12 @@ def cover_3k4(a: IntSet) -> ApDescriptor:
     applied literally, so singletons and pairs are rejected even though they
     are trivially coverable — min_interval_cover serves the general question.
     """
-    two_a = sumset(a)
+    two_a = _sumset_mask(a).bit_count()
     k = len(a)
-    if len(two_a) > 3 * k - 4:
-        raise HypothesisNotMetError(
-            f"|2A| = {len(two_a)} > 3|A| - 4 = {3 * k - 4}"
-        )
+    if two_a > 3 * k - 4:
+        raise HypothesisNotMetError(f"|2A| = {two_a} > 3|A| - 4 = {3 * k - 4}")
     shift, scale = normalization(a)
     nf_max = (a.max() - shift) // scale
-    if nf_max > len(two_a) - k:
+    if nf_max > two_a - k:
         raise ConsistencyError("3k-4 covering bound violated")
     return ApDescriptor(start=shift, step=scale, length=nf_max + 1)

@@ -38,10 +38,12 @@ CONVOLUTION_MIN_SIZE = 1 << 15
 # sweep's working memory stays near 64 * CHUNK_ELEMENTS bytes whatever n * |A|.
 CHUNK_ELEMENTS = 1 << 18
 
-# Pair-map images held per step of the canonicity test.  A cache-sized step
-# is faster as well as smaller than a CHUNK_ELEMENTS one: the p = 19 hunt
-# took 0.014 s a call against 0.026 s, with a tracemalloc peak of 0.7 MiB
-# against 3.1 MiB (2-core Xeon, numpy 2.4.6).
+# Pair-map images held per step of the canonicity test, and children per
+# slice of the hunt's enumeration.  A cache-sized step is faster as well as
+# smaller than a CHUNK_ELEMENTS one: the p = 19 hunt took 0.014 s a call
+# against 0.026 s, with a tracemalloc peak of 0.7 MiB against 3.1 MiB, and
+# hunt_conjecture([29]) peaks at 6.7 MiB against 35.3 MiB (2-core Xeon,
+# numpy 2.4.6).
 CANONICAL_STEP_ENTRIES = 1 << 15
 
 
@@ -144,7 +146,7 @@ def half_units(n: int) -> np.ndarray:
     keeps every circular gap and maps a half window onto a half window, so
     the sweeps below need only these rows."""
     ms = np.arange(1, n // 2 + 1)
-    return ms[np.gcd(ms, n) == 1]
+    return ms if is_prime(n) else ms[np.gcd(ms, n) == 1]
 
 
 def dilation_rows(elements, n: int, multipliers):
@@ -172,18 +174,30 @@ def dilation_gaps(elements, n: int, multipliers):
 
 def half_window_fit(elements, n: int, multipliers) -> tuple[int, int] | None:
     """(m, u) for the first multiplier m, in the order given, whose dilate
-    m * A lies inside the (n+1)//2 consecutive residues from u, else None.
+    m * A lies inside a window of w = (n+1)//2 consecutive residues, with u
+    the least start of such a window; else None.
 
-    m * A fits such a window iff its longest missing run leaves at most
-    (n+1)//2 residues, n - gap <= (n+1)//2; u is the member after that run.
-    Sums inside the window cannot wrap, so a fitting dilate embeds in Z
-    verbatim.  Stops at the first chunk of rows holding a fit.
+    m * A fits iff its longest missing run leaves a span = n - gap <= w
+    residues, from the member `end` after that run.  The windows holding it
+    start at end + span - w .. end, so u = end + span - w, or 0 when those
+    starts wrap past 0.  Sums inside the window cannot wrap, so a fitting
+    dilate embeds in Z verbatim.  The first fitting row usually lies near
+    the front (row 14 of about 400 in the median on small-doubling sets), so
+    the rows go in slices of 32 that double up to the sweep's chunk, and the
+    pass stops at the first slice holding a fit.
     """
-    for ms, gaps, ends in dilation_gaps(elements, n, multipliers):
-        fit = n - gaps <= (n + 1) // 2
-        if fit.any():
-            i = int(fit.argmax())
-            return int(ms[i]), int(ends[i])
+    members = np.asarray(elements, dtype=_product_dtype(n))
+    ms = np.asarray(multipliers)
+    w = (n + 1) // 2
+    lo, size = 0, 32
+    while lo < len(ms):
+        for chunk, gaps, ends in dilation_gaps(members, n, ms[lo : lo + size]):
+            fit = n - gaps <= w
+            if fit.any():
+                i = int(fit.argmax())
+                return int(chunk[i]), max(0, int(ends[i]) + n - int(gaps[i]) - w)
+        lo += size
+        size *= 2
     return None
 
 

@@ -111,7 +111,7 @@ def enumerate_canonical(
     cap = doubling_cap if doubling_cap is not None else p
     # the lex-least member of every class starts 0, 1: an affine map sends
     # any two elements there
-    for _, leaves, _ in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CHUNK_ELEMENTS):
+    for _, leaves, _ in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CANONICAL_STEP_ENTRIES):
         for leaf in leaves[affine_canonical_rows(_element_rows(leaves, k), p)]:
             yield ResidueSet(p, int(leaf))
 

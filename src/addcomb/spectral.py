@@ -13,7 +13,8 @@ rows (residues.dilation_rows), so its memory is bounded whatever p * |A|.
 Negation maps a half window onto a half window, so d and p - d capture alike
 and only d <= (p-1)/2 is searched, in two passes.  The gap kernel alone
 settles a dilate that fits a half window whole (p - gap <= (p+1)/2, capture
-|A|); only when none fits are the member-anchored windows counted.
+|A|), and gives the least start of its window with it; only when none fits
+are the member-anchored windows counted.
 """
 
 from __future__ import annotations
@@ -130,13 +131,17 @@ def energy_identity_residual(a: ResidueSet) -> float:
 @dataclass(frozen=True)
 class RectWindow:
     """A half-length window [u, u + (p+1)/2) and the part of a dilate of A it
-    captures.  `captured` lives in the dilated coordinates d * A."""
+    captures.  `captured` lives in the dilated coordinates d * A.  In
+    Fourier mode `magnitude` is |T_A(d)| as the search computed it, so a
+    caller needs no second transform; it is None in exact mode and stays
+    out of to_json."""
 
     d: int
     u: int
     captured: ResidueSet
     window_size: int
     mode: str  # "exact" or "fourier"
+    magnitude: float | None = None
 
     def __len__(self) -> int:
         return len(self.captured)
@@ -177,13 +182,15 @@ def best_half_window(a: ResidueSet) -> RectWindow:
 
     Exact search over every (d, u) for p <= 2^14, smallest d then smallest u
     on ties.  The first pass takes the smallest d <= (p-1)/2 whose dilate
-    fits a half window whole: no d captures more than |A|, and d and p - d
-    fit alike.  Only if none fits does the second pass count every
-    member-anchored window, keeping the first row at the maximum.  u is the
-    first start attaining the maximum for that d (the fit's own start, the
-    member after the gap, can lie past it).  Above 2^14, the d attaining the
-    maximal Fourier magnitude is used with its best u; that capture is
-    guaranteed at least (|A| + |T_A(d)|)/2 and the mode is "fourier".
+    fits a half window whole, with the least start u of such a window: no d
+    captures more than |A|, and d and p - d fit alike.  Only if none fits
+    does the second pass count every member-anchored window, keeping the
+    first row at the maximum, and u is then the first start attaining the
+    maximum for that d.  Above 2^14, the d attaining the maximal Fourier
+    magnitude is used with its best u; that capture is guaranteed at least
+    (|A| + |T_A(d)|)/2 and the mode is "fourier".  The closing assert
+    recounts the capture at (d, u): at count = |A| it proves the fit's
+    window holds all of d * A, hence the maximum.
     """
     p = a.modulus
     if not a.prime_modulus:
@@ -191,10 +198,12 @@ def best_half_window(a: ResidueSet) -> RectWindow:
     if len(a) == 0:
         raise EmptySetError("window of the empty set")
     w = (p + 1) // 2
+    magnitude = None
     if p <= EXACT_SEARCH_MAX_P:
+        mode = "exact"
         fit = half_window_fit(a.elements(), p, half_units(p))
         if fit is not None:
-            count, d = len(a), fit[0]
+            (d, u), count = fit, len(a)
         else:
             # sliding a start right to the next member never loses a capture
             count, d = -1, None
@@ -203,21 +212,17 @@ def best_half_window(a: ResidueSet) -> RectWindow:
                 i = int(per_d.argmax())  # first row: smallest dilation
                 if per_d[i] > count:
                     count, d = int(per_d[i]), int(ms[i])
-        exact_counts = window_capture_counts(a, d)
-        assert int(exact_counts.max()) == count
-        u = int(np.argmax(exact_counts))  # first index: smallest start
-        mode = "exact"
+            u = int(np.argmax(window_capture_counts(a, d)))  # first index: smallest start
     else:
+        mode = "fourier"
         d, magnitude = _top_frequency(a)
         counts = window_capture_counts(a, d)
-        count = int(counts.max())
-        u = int(np.argmax(counts))
+        count, u = int(counts.max()), int(np.argmax(counts))
         if count < (len(a) + magnitude) / 2 - MAG_TOL:
             raise ConsistencyError(
                 "window capture below the guaranteed half-plus-coefficient bound"
             )
-        mode = "fourier"
     window_mask = bits.rotate((1 << w) - 1, u, p)
     captured = ResidueSet(p, dilate(a, d).mask & window_mask)
     assert len(captured) == count
-    return RectWindow(d, u, captured, w, mode)
+    return RectWindow(d, u, captured, w, mode, magnitude)

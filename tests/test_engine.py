@@ -175,6 +175,29 @@ def test_fourier_mode_case1():
     assert t.result.witness.covers(a.elements())
 
 
+def test_one_transform_per_query(monkeypatch):
+    # Fourier mode reads |T_A(d)| off the window search's own transform;
+    # exact mode takes the one transform the capture bound needs
+    from addcomb import engine, spectral
+
+    calls = []
+    transform = spectral.spectrum
+
+    def counting(a):
+        calls.append(a.modulus)
+        return transform(a)
+
+    monkeypatch.setattr(spectral, "spectrum", counting)
+    monkeypatch.setattr(engine, "spectrum", counting)
+    for p, els in ((16411, range(1000)), (101, [*range(21), 24])):
+        calls.clear()
+        t = prove_cover(rs(p, els))
+        assert calls == [p]
+        assert t.annotations["window_capture_lower_bound"] == (
+            len(els) + float(transform(rs(p, els)).magnitudes[t.window.d])
+        ) / 2
+
+
 def test_exact_mode_finishes_only_on_the_whole_set(rng):
     # In exact mode the window search maximizes capture over every unit
     # dilation, so a capture below |A| means no map s*x + t fits A in a
@@ -333,6 +356,55 @@ def test_case2_i_falls_back_with_its_witness():
         "within_bound": True,
     }
     assert t.to_json()["diagnostic"] is None
+
+
+def pinned_corpus():
+    """300 seeded small-doubling queries (|2A| <= 2.6|A|) in the three
+    styles of the engine benchmark (a subset of a short progression, two
+    segments, a progression plus two random residues), 31 <= p <= 2003, and
+    two Fourier-mode sets."""
+    import random
+
+    from addcomb.primes import primes_upto
+
+    rng = random.Random(20261019)
+    primes = [p for p in primes_upto(2003) if p >= 31]
+    corpus = []
+    styles = ("near_ap", "two_segment", "ap_plus_noise")
+    while len(corpus) < 300:
+        style = styles[len(corpus) % 3]
+        p = rng.choice(primes)
+        k = rng.randrange(6, min(40, p // 3 + 1))
+        start, step = rng.randrange(p), rng.randrange(1, p)
+        if style == "near_ap":
+            positions = rng.sample(range(min(p - 1, int(1.3 * k))), k)
+        elif style == "two_segment":
+            gap = rng.randrange(2 * k, max(p // 2, 2 * k + 1))
+            positions = [*range(k // 2), *range(gap, gap + k - k // 2)]
+        else:
+            positions = rng.sample(range(min(p - 1, int(1.2 * k))), k - 2)
+            positions += [(x - start) * pow(step, -1, p) % p for x in rng.sample(range(p), 2)]
+        a = rs(p, [(start + i * step) % p for i in positions])
+        if 10 * len(sumset(a)) <= 26 * len(a):
+            corpus.append(a)
+    p = 16411
+    corpus.append(rs(p, [*range(1000), *range(8206, 8211)]))  # case 1
+    corpus.append(rs(p, [(5 + 37 * i) % p for i in (0, 1, 2, 3, 5, 6, 8, 9, 10, 12, 13)]))
+    return corpus
+
+
+def test_trace_json_is_pinned():
+    # every field of every trace, timing-free by schema, must stay byte for
+    # byte what it was when the pin was recorded
+    import hashlib
+    import json
+
+    traces = [prove_cover(a).to_json() for a in pinned_corpus()]
+    branches = {t["branch"] for t in traces}
+    assert {BRANCH_WHOLE, BRANCH_CASE1, BRANCH_FALLBACK} <= branches
+    assert [t["window"]["mode"] for t in traces].count("fourier") == 2
+    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    assert digest == "21e964ac2a3a4b34e211a9487c2a73f201aea2cdc0cb16715ec9a6e8ab86892d"
 
 
 def test_trace_json_schema():

@@ -138,6 +138,57 @@ def test_ap_descriptor_validation():
         ApDescriptor(0, 1, 8, ambient=7)
 
 
+def test_ap_descriptor_step_must_be_a_unit_mod_n():
+    with pytest.raises(ValueError, match="unit"):
+        ApDescriptor(0, 3, 2, ambient=9)
+    with pytest.raises(ValueError, match="unit"):
+        ApDescriptor(1, 4, 3, ambient=10)
+    assert ApDescriptor(0, 2, 4, ambient=9).values() == [0, 2, 4, 6]
+
+
+def test_covers_matches_value_set(rng):
+    # members just outside either end (index -1 and index length) and
+    # random residues or integers around the progression
+    for _ in range(400):
+        n = rng.choice([None, 7, 11, 101, 16411])
+        length = rng.randrange(1, 30 if n is None else min(n, 30) + 1)
+        if n is None:
+            start, step = rng.randrange(-40, 40), rng.randrange(1, 9)
+            pool = range(start - 3 * step, start + (length + 3) * step)
+        else:
+            start, step = rng.randrange(n), rng.randrange(1, n // 2 + 1)
+            pool = range(n)
+        ap = ApDescriptor(start, step, length, ambient=n)
+        values = ap.value_set()
+        wrap = (lambda x: x) if n is None else (lambda x: x % n)
+        outside = [wrap(start - step), wrap(start + length * step)]
+        for x in outside + rng.sample(pool, min(len(pool), 6)):
+            assert ap.covers([x]) == (x in values)
+        members = rng.sample(sorted(values), rng.randrange(0, len(values) + 1))
+        assert ap.covers(members)
+        assert ap.covers(members + outside[:1]) == (outside[0] in values)
+
+
+def test_cover_3k4_matches_oracle(rng):
+    met = 0
+    for _ in range(300):
+        k, step = rng.randrange(1, 12), rng.randrange(1, 5)
+        span = rng.choice([k, k + k // 2, 80])  # dense ones meet the hypothesis
+        a = IntSet.from_iterable(step * i - 20 for i in rng.sample(range(span), k))
+        k, size = len(a), len(naive_sumset(a.elements))
+        if size > 3 * k - 4:
+            with pytest.raises(HypothesisNotMetError) as err:
+                cover_3k4(a)
+            assert str(err.value) == f"|2A| = {size} > 3|A| - 4 = {3 * k - 4}"
+            continue
+        met += 1
+        ap = cover_3k4(a)
+        assert ap.length <= size - k + 1
+        assert (ap.start, ap.length) == (a.min(), min_interval_cover(a))
+        assert ap.covers(a.elements)
+    assert 50 <= met <= 250
+
+
 def test_sumset_span_cap_boundary():
     from addcomb.residues import MAX_MODULUS
 

@@ -50,6 +50,19 @@ def brute_gap(els, n, m):
     return top, row[gaps.index(top)]
 
 
+def brute_first_fit(els, n, ms):
+    """(m, u) for the first m whose dilate lies in some window of (n+1)//2
+    consecutive residues, with u the least start of one, by trying every
+    start."""
+    w = (n + 1) // 2
+    for m in ms:
+        dil = {x * m % n for x in els}
+        for u in range(n):
+            if all((x - u) % n < w for x in dil):
+                return m, u
+    return None
+
+
 def test_dilation_gaps_match_brute_rows(rng):
     for _ in range(200):
         n = rng.randrange(2, 60)
@@ -173,21 +186,8 @@ def test_half_interval_dilation_composite(rng):
     for _ in range(100):
         n = rng.randrange(2, 40)
         els = rng.sample(range(n), rng.randrange(1, n + 1))
-        found = half_window_fit(els, n, half_units(n))
-        w = (n + 1) // 2
-        fits = [
-            (d, u)
-            for d in range(1, n)
-            if np.gcd(d, n) == 1
-            for u in range(n)
-            if {x * d % n for x in els} <= {(u + i) % n for i in range(w)}
-        ]
-        if not fits:
-            assert found is None
-        else:
-            d = fits[0][0]
-            assert found[0] == d
-            assert {x * d % n for x in els} <= {(found[1] + i) % n for i in range(w)}
+        units = [d for d in range(1, n) if np.gcd(d, n) == 1]
+        assert half_window_fit(els, n, half_units(n)) == brute_first_fit(els, n, units)
 
 
 def test_best_half_window_memory_is_bounded():
@@ -279,3 +279,63 @@ def test_window_no_dilate_fits(monkeypatch, rng):
         w = check_window(p, els)
         assert len(w) < len(els) and len(calls) > before
     assert below_half >= 5
+
+
+def test_fit_start_is_least_every_subset_up_to_11():
+    for p in (2, 3, 5, 7, 11):
+        ms = half_units(p).tolist()
+        for mask in range(1, 1 << p):
+            els = bits.elements_of(mask)
+            assert half_window_fit(els, p, ms) == brute_first_fit(els, p, ms)
+
+
+def test_fit_start_wrap_singleton_and_exact_half(rng):
+    for _ in range(60):
+        p = rng.choice([13, 29, 31, 53, 61])
+        w = (p + 1) // 2
+        m = rng.randrange(1, p)
+        inner = rng.sample(range(1, w - 1), rng.randrange(0, w - 2))
+        cases = [
+            [rng.randrange(p)],  # k = 1
+            [0, w - 1, *inner],  # span exactly (p+1)/2: one start holds it
+            rng.sample(range(1, w - 1), 4),  # starts -1 and 0 both hold it: u = 0
+        ]
+        for base in cases:
+            els = scaled(p, base, pow(m, -1, p))
+            for ms in (half_units(p).tolist(), [m]):
+                assert half_window_fit(els, p, ms) == brute_first_fit(els, p, ms)
+        assert half_window_fit(cases[2], p, [1]) == (1, 0)
+
+
+def test_fit_stops_in_the_first_slice(monkeypatch, rng):
+    # the first fitting row is m = 3 among 1,001: the pass sorts no more
+    # rows than its first slice of 32
+    p = 2003
+    base = [0, 1000, *rng.sample(range(1, 1000), 38)]
+    els = scaled(p, base, pow(3, -1, p))
+    assert [m for m in (1, 2, 3) if half_window_fit(els, p, [m])] == [3]
+    sorted_rows = []
+    rows = residues.dilation_rows
+
+    def counting(elements, n, multipliers):
+        for ms, chunk in rows(elements, n, multipliers):
+            sorted_rows.append(len(ms))
+            yield ms, chunk
+
+    monkeypatch.setattr(residues, "dilation_rows", counting)
+    assert half_window_fit(els, p, half_units(p)) == brute_first_fit(els, p, [3])
+    assert 3 <= sum(sorted_rows) <= 32
+
+
+def test_fit_in_a_later_slice_is_the_smallest(monkeypatch, rng):
+    # one row a chunk, and first fits past the first slice (32 rows) and
+    # past the second (32 + 64): every earlier row is still tried, in order
+    p = 401
+    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
+    ms = half_units(p).tolist()
+    for target in (33, 97, 150):
+        base = [0, 200, *rng.sample(range(1, 200), 18)]
+        els = scaled(p, base, pow(target, -1, p))
+        want = brute_first_fit(els, p, ms)
+        assert want[0] == target
+        assert half_window_fit(els, p, ms) == want
