@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import bits
+import numpy as np
+
+from . import bits, residues
 from .errors import (
     ConsistencyError,
     EmptySetError,
@@ -113,19 +115,35 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
     return CoverResult(length, witness, bound, length <= bound)
 
 
+def arithmetic_progressions(rows, p: int) -> np.ndarray:
+    """Which of N nonempty sets of one size k in Z_p, p prime, given as
+    sorted (N, k) rows, are arithmetic progressions: ell(A) = k, i.e. some
+    unit dilate m * A with m <= (p-1)/2 misses a run of p - k residues (a
+    singleton misses p - 1; all of Z_p misses runs of 0).  One sweep over
+    the rows, in stacks of about CANONICAL_STEP_ENTRIES dilated members;
+    a stack stops at the first chunk of multipliers where every row has
+    a hit."""
+    rows = np.asarray(rows)
+    n, k = rows.shape
+    ms = half_units(p)
+    out = np.zeros(n, dtype=bool)
+    per_stack = max(1, residues.CANONICAL_STEP_ENTRIES // (len(ms) * k))
+    for lo in range(0, n, per_stack):
+        hit = out[lo : lo + per_stack]
+        for _, gaps, _ in dilation_gaps(rows[lo : lo + per_stack], p, ms):
+            hit |= (gaps.reshape(len(hit), -1) == p - k).any(axis=1)
+            if hit.all():
+                break
+    return out
+
+
 def is_arithmetic_progression(a: ResidueSet) -> bool:
-    """ell(A) = |A| test, by the same sweep, stopping at the first chunk
-    that holds a hit."""
-    p = a.modulus
+    """ell(A) = |A| test: arithmetic_progressions on a stack of one."""
     if not a.prime_modulus:
         raise PrimeRequiredError("AP test requires prime modulus")
-    k = len(a)
-    if k == 0:
+    if len(a) == 0:
         raise EmptySetError("empty set")
-    if k in (1, p):
-        return True
-    sweep = dilation_gaps(a.elements(), p, half_units(p))
-    return any((gaps == p - k).any() for _, gaps, _ in sweep)
+    return bool(arithmetic_progressions([a.elements()], a.modulus)[0])
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,11 @@ rational nullspace holds all the sum-preserving images, so every verdict
 here is exact linear algebra on those rows.
 
 One numpy kernel, _pair_classes, computes the classes for integer sets,
-residue sets and points of Z^d alike; the rows, the dimension-1
-propagation, the rectification's class representatives and the isomorphism
-test's class tables all read it.
+residue sets and points of Z^d alike; the rows, the rectification's class
+representatives and the isomorphism test's class tables all read it.  For
+stacks of small nonnegative sets, dimensions_one_down settles most
+dimensions with no rows from one table of pair-sum counts, by taking one
+member out.
 
 The two-progressions cover of a 2-dimensional set is the exception: a step
 search in Z with progression arithmetic for its postconditions.  A cover it
@@ -31,7 +33,7 @@ from operator import mul
 
 import numpy as np
 
-from . import linalg
+from . import linalg, residues
 from .errors import (
     ConsistencyError,
     NotFreimanIsomorphismError,
@@ -180,51 +182,6 @@ def additive_dimension(a: IntSet) -> DimensionResult:
     return DimensionResult(len(basis) - 1, len(a), tuple(map(_rational, basis)))
 
 
-def _dim1_by_propagation(elems: list) -> bool:
-    """Cheap sufficient test for dimension 1.
-
-    Anchor two images and propagate values forced by the required relations
-    (all pairs in a sum class share one image-sum).  If every image gets
-    pinned, the solution space is exactly the affine maps, i.e. dim = 1.
-    A stall is inconclusive, never wrong, and the fixpoint does not depend
-    on the order the classes are visited in.
-    """
-    k = len(elems)
-    if k == 2:
-        return True
-    first, second, same = _pair_classes(elems, None)
-    # a class of one pair pins nothing: keep the pairs sharing their sum
-    keep = np.concatenate((same, [False])) | np.concatenate(([False], same))
-    starts = np.concatenate(([True], ~same))[keep]
-    pairs = list(zip(first[keep].tolist(), second[keep].tolist()))
-    cuts = [*np.flatnonzero(starts).tolist(), len(pairs)]
-    classes = [pairs[s:e] for s, e in zip(cuts, cuts[1:])]
-    f: list = [None] * k
-    f[0], f[1] = 0, 1
-    known = 2
-    progress = True
-    while progress and known < k:
-        progress = False
-        for grp in classes:
-            value = None
-            for i, j in grp:
-                if f[i] is not None and f[j] is not None:
-                    value = f[i] + f[j]
-                    break
-            if value is None:
-                continue
-            for i, j in grp:
-                if f[i] is None and f[j] is not None:
-                    f[i] = value - f[j]
-                    known += 1
-                    progress = True
-                elif f[j] is None and f[i] is not None:
-                    f[j] = value - f[i]
-                    known += 1
-                    progress = True
-    return known == k
-
-
 def additive_dimensions(sets) -> np.ndarray:
     """Additive dimensions of N integer sets of one size k >= 2, given as an
     (N, k) array: k - 1 minus the rank of each set's required rows, with
@@ -241,13 +198,7 @@ def additive_dimensions(sets) -> np.ndarray:
 
 
 def additive_dimension_value(a: IntSet) -> int:
-    """Dimension from the rank alone, propagation first past 45 elements
-    (engine hot path)."""
-    k = len(a)
-    if k < 2:
-        raise UndefinedDimensionError("dimension needs at least two elements")
-    if k > 45 and _dim1_by_propagation(list(a.elements)):
-        return 1
+    """Dimension from the rank alone (engine hot path)."""
     return int(additive_dimensions([a.elements])[0])
 
 
@@ -257,10 +208,45 @@ def dimension_lower_bound(k, d):
     return (d + 1) * k - (d + 1) * d // 2
 
 
-def dimension_lower_bound_check(a: IntSet) -> bool:
-    """|2A| >= (d+1)|A| - C(d+1, 2) with d the exact dimension.  Always true;
-    exercised exhaustively by the verification suites."""
-    return len(int_sumset(a)) >= dimension_lower_bound(len(a), additive_dimension_value(a))
+def dimensions_one_down(sets, sizes) -> np.ndarray:
+    """Dimensions of N sets of one size k, given as an (N, k) array of
+    nonnegative integers with their sumset sizes, where one member settles
+    it, and 0 where none does.
+
+    Let B = A minus e and t_e = |A| - |2A| + |2B|.  The sums of 2A outside
+    2B are the e + x outside it, one for each such x in A, so t_e counts the
+    x in A with e + x in 2B.  Relations of A that do not use e are those of
+    B; one that does reads e + x = y + z with x in A and y, z in B.  If
+    t_e >= 1, a solution f of A's relations vanishing on B vanishes at e
+    (f(e) + f(x) = f(y) + f(z) = 0, and f(x) = 0 or x = e), so f -> f|B is
+    injective and dim A <= dim B.  If t_e = 0, A's solutions are B's with
+    f(e) free, so dim A = dim B + 1.  Where dim B = 1, by Freiman's lemma
+    (|2B| <= 3|B| - 4) or because |B| = 2, dim A is 1 if t_e >= 1 and 2 if
+    t_e = 0.
+
+    Every t_e reads one table of ordered pair-sum counts: e + x lies in 2B
+    iff it has a representation besides (e, x) and (x, e), i.e. at least
+    three (2e has (e, e) and an odd count).  Sets go in chunks of about
+    residues.CANONICAL_STEP_ENTRIES sums.
+    """
+    sets = np.asarray(sets)
+    n, k = sets.shape
+    dims = np.zeros(n, dtype=np.int64)
+    per_chunk = max(1, residues.CANONICAL_STEP_ENTRIES // (k * k))
+    for lo in range(0, n, per_chunk):
+        chunk = sets[lo : lo + per_chunk]
+        width = 2 * int(chunk.max(initial=0)) + 1
+        sums = chunk[:, :, None] + chunk[:, None, :]
+        sums += (np.arange(len(chunk)) * width)[:, None, None]
+        counts = np.bincount(sums.ravel(), minlength=len(chunk) * width)
+        t = (counts[sums] >= 3).sum(axis=2)
+        # |2B| for each e; dim B = 1 where it is below the lemma's floor
+        settles = sizes[lo : lo + per_chunk, None] - k + t < dimension_lower_bound(k - 1, 2)
+        settles |= k == 3
+        e = settles.argmax(axis=1)
+        t_e = t[np.arange(len(chunk)), e]
+        dims[lo : lo + per_chunk] = np.where(settles.any(axis=1), np.where(t_e > 0, 1, 2), 0)
+    return dims
 
 
 def _class_table(elems: list, modulus: int | None):

@@ -151,24 +151,27 @@ def half_units(n: int) -> np.ndarray:
 
 def dilation_rows(elements, n: int, multipliers):
     """Yields (ms, rows), chunk by chunk: the sorted dilates m * A mod n, one
-    row per multiplier in order.  Products m * a < n^2 are exact in
-    _product_dtype(n), whose int32 rows take 40% of the int64 time."""
+    row per multiplier in order.  For an (N, k) stack of sets the rows run
+    set by set, N * len(ms) of them a chunk.  Products m * a < n^2 are exact
+    in _product_dtype(n), whose int32 rows take 40% of the int64 time."""
     members = np.asarray(elements, dtype=_product_dtype(n))
     ms = np.asarray(multipliers, dtype=members.dtype)
-    per_chunk = max(1, CHUNK_ELEMENTS // len(members))
+    k = members.shape[-1]
+    per_chunk = max(1, CHUNK_ELEMENTS // members.size)
     for lo in range(0, len(ms), per_chunk):
         chunk = ms[lo : lo + per_chunk]
-        yield chunk, np.sort(chunk[:, None] * members % n, axis=1)
+        yield chunk, np.sort((chunk[:, None] * members[..., None, :] % n).reshape(-1, k), axis=1)
 
 
 def dilation_gaps(elements, n: int, multipliers):
     """Yields (ms, gaps, ends) chunk by chunk, so callers can stop early: for
     each multiplier m, the longest circular run of residues missing from m * A
-    (n - 1 for a singleton) and the smallest member right after such a run."""
+    (n - 1 for a singleton) and the smallest member right after such a run;
+    for a stack of sets, one of each per row of dilation_rows."""
     for ms, rows in dilation_rows(elements, n, multipliers):
         gaps = np.diff(rows, axis=1, prepend=rows[:, -1:] - n) - 1
         first = gaps.argmax(axis=1)
-        r = np.arange(len(ms))
+        r = np.arange(len(rows))
         yield ms, gaps[r, first], rows[r, first]
 
 
@@ -211,9 +214,10 @@ def negate(a: ResidueSet) -> ResidueSet:
 
 
 def _product_dtype(p: int):
-    """int32 where products of residues mod p, and of their differences,
-    are exact in it (|x * y| < p^2 < 2^31), else int64."""
-    return np.int32 if p * p < 2**31 else np.int64
+    """The narrowest of int16, int32 and int64 in which products of residues
+    mod p, and of their differences, are exact (|x * y| < p^2).  int16 rows
+    halve the vosper suite's sweep memory (p <= 181)."""
+    return np.int16 if p * p < 2**15 else np.int32 if p * p < 2**31 else np.int64
 
 
 def _inverse_mod(d: np.ndarray, p: int) -> np.ndarray:

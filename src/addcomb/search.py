@@ -28,9 +28,9 @@ import numpy as np
 from . import SCHEMA_VERSION, __version__, bits, residues
 from .covering import (
     COUNTEREXAMPLE,
+    _min_ap_cover,
+    arithmetic_progressions,
     conjecture_verdict,
-    min_ap_cover,
-    vosper_verdict,
 )
 from .errors import (
     ConsistencyError,
@@ -38,7 +38,7 @@ from .errors import (
     SearchRangeError,
     UnknownSuiteError,
 )
-from .freiman import additive_dimensions, dimension_lower_bound
+from .freiman import additive_dimensions, dimension_lower_bound, dimensions_one_down
 from .intsets import IntSet, cover_3k4
 from .primes import is_prime, primes_upto
 from .residues import ResidueSet, affine_canonical_rows, sumset
@@ -422,7 +422,7 @@ def verify_family(family: str, max_p: int, threads: int = 1) -> SearchReport:
 
 def _verify_one_instance(params: FamilyParams) -> dict | None:
     a, expected = build_family(params)
-    cover = min_ap_cover(a)
+    cover = _min_ap_cover(a, expected["sumset_size"])
     if cover.length > expected["bound"]:
         return None
     return {
@@ -473,10 +473,14 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
         raise SearchRangeError(f"vosper suite capped at max_p <= {ENUMERATION_MAX_P}")
     examined = 0
     for p in primes_upto(max_p):
-        for _, masks, _ in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
+        for size, masks, sums in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
             examined += len(masks)
-            for mask in masks.tolist():
-                vosper_verdict(ResidueSet(p, mask))  # ConsistencyError on failure
+            # the walk keeps 2 <= |A| and |2A| <= p - 2, Vosper's hypotheses
+            eq = np.bitwise_count(sums) == 2 * size - 1
+            failed = np.flatnonzero(eq != arithmetic_progressions(_element_rows(masks, size), p))
+            if len(failed):
+                a = ResidueSet(p, int(masks[failed[0]]))
+                raise ConsistencyError(f"Vosper equivalence failed on {a.literal()}")
     return examined, [], [
         f"exhaustive over representatives containing {{0,1}}, p <= {max_p}"
     ]
@@ -485,7 +489,8 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
 def _dimension_stacks(limit: int, size: int, cap: int | None = None, lemma: bool = False):
     """(sets, sumset sizes, dimensions) of the normal-form sets of one size
     in [0, limit] (with |2A| <= cap), in enumeration order.  With `lemma`,
-    sets with |2A| <= 3k - 4 get dimension 1 unranked (see
+    sets with |2A| <= 3k - 4 get dimension 1 unranked and
+    freiman.dimensions_one_down settles most of the rest (see
     _suite_prop23_variant).  The rest of each walk slice are ranked in
     stacks of at most CANONICAL_STEP_ENTRIES required-row entries: k
     integers with s >= 2k - 1 sums (s >= 3k - 3 past the lemma) have
@@ -496,6 +501,9 @@ def _dimension_stacks(limit: int, size: int, cap: int | None = None, lemma: bool
     for sets, two in _normal_form_subsets(limit, size, size, cap):
         dims = np.ones(len(sets), dtype=np.int64)
         todo = np.flatnonzero(two >= floor)
+        if lemma:
+            dims[todo] = dimensions_one_down(sets[todo], two[todo])
+            todo = todo[dims[todo] == 0]
         for start in range(0, len(todo), per_stack):
             stack = todo[start : start + per_stack]
             dims[stack] = additive_dimensions(sets[stack])
@@ -547,13 +555,21 @@ def _suite_prop23_variant(limit: int = 24) -> tuple[int, list[dict], list[str]]:
     with 4|A| > limit cannot violate and only matter for the ratio, so the
     scan stops once larger sizes cannot beat the running maximum.
 
-    Only sets with |2A| >= 3|A| - 3 are ranked: the rest have dimension 1
-    by Freiman's lemma (Freiman 1973; Tao-Vu, Lemma 5.13).  A set of
-    dimension >= 2 is isomorphic to one spanning R^d, d >= 2; deleting a
-    vertex v of its hull loses at least the sums 2v, v + u and v + w (u, w
-    its neighbours along hull edges).  If the rest spans a plane or more it
-    has >= 3|A| - 6 sums by induction; if it lies on a line it has
-    >= 2|A| - 3, and v adds |A| more off that line.
+    Sets with |2A| <= 3|A| - 4 have dimension 1 by Freiman's lemma
+    (Freiman 1973; Tao-Vu, Lemma 5.13).  A set of dimension >= 2 is
+    isomorphic to one spanning R^d, d >= 2; deleting a vertex v of its hull
+    loses at least the sums 2v, v + u and v + w (u, w its neighbours along
+    hull edges).  If the rest spans a plane or more it has >= 3|A| - 6 sums
+    by induction; if it lies on a line it has >= 2|A| - 3, and v adds |A|
+    more off that line.
+
+    Most of the rest are settled one member down
+    (freiman.dimensions_one_down): if B = A minus e is 1-dimensional by the
+    lemma (or |B| = 2), A is 1-dimensional when some e + x, x in A, is a sum
+    of B, since that relation pins e from B's values, and 2-dimensional when
+    none is, since e then takes part in no relation.  At limit 20 this
+    settles 7,208 of the 9,874 sets the lemma leaves; only the other 2,666
+    are ranked.
     """
     examined = 0
     violations: list[dict] = []

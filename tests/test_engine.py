@@ -112,17 +112,6 @@ def test_engine_total_on_arbitrary_inputs(rng):
             assert t.result.witness.covers(a.elements())
 
 
-def test_dim1_propagation_matches_exact(rng):
-    from addcomb.freiman import _dim1_by_propagation, additive_dimension_value
-    from addcomb.intsets import IntSet
-
-    for _ in range(200):
-        k = rng.randrange(2, 12)
-        a = IntSet.from_iterable(rng.sample(range(40), k))
-        if _dim1_by_propagation(list(a.elements)):
-            assert additive_dimension_value(a) == 1
-
-
 def test_two_segment_partition_and_tests():
     # The two-progression stage is exercised directly: reaching it end to end
     # needs a partial capture whose doubling still passes the 3.04 gate, and
@@ -221,8 +210,8 @@ def test_exact_mode_finishes_only_on_the_whole_set(rng):
 
 
 # The window (1, 0) captures A1 = ([0, 102) minus {1}) u {201}, 102 members
-# with |2A1| = 303 = 3|A1| - 3: Freiman's lemma leaves the dimension open,
-# A1 has no two-lines cover and the propagation stalls, so it needs the rank.
+# with |2A1| = 303 = 3|A1| - 3: Freiman's lemma leaves the dimension open
+# and A1 has no two-lines cover, so it needs the rank.
 ONE_DIMENSIONAL_601 = [0, *range(2, 102), 201, 450]
 
 

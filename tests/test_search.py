@@ -2,11 +2,13 @@ import json
 from itertools import combinations
 from math import gcd
 
+import numpy as np
 import pytest
 
 from addcomb import linalg, residues, search
-from addcomb.covering import min_ap_cover
+from addcomb.covering import arithmetic_progressions, min_ap_cover
 from addcomb.errors import (
+    ConsistencyError,
     InvalidParamsError,
     SearchRangeError,
     UnknownSuiteError,
@@ -25,7 +27,8 @@ from addcomb.search import (
     run_suite,
     verify_family,
 )
-from conftest import brute_canonical, naive_sumset
+from addcomb.primes import primes_upto
+from conftest import brute_canonical, brute_min_cover, naive_sumset
 
 
 def test_enumeration_examples():
@@ -305,6 +308,32 @@ def test_campaign_reports_are_pinned():
     }
 
 
+def test_stacked_ap_test_against_brute_cover(monkeypatch):
+    # every set the vosper suite walks for p <= 13, a walk slice a stack,
+    # then again in stacks of a few rows with one multiplier a chunk, so
+    # that a stack goes on past the chunk where one row first hits
+    for entries, chunk in ((residues.CANONICAL_STEP_ENTRIES, residues.CHUNK_ELEMENTS), (200, 12)):
+        monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
+        monkeypatch.setattr(residues, "CHUNK_ELEMENTS", chunk)
+        seen = set()
+        for p in primes_upto(13):
+            for size, masks, _ in search._walk(p, 2, p, p - 2, (0, 1), p, entries // p):
+                rows = search._element_rows(masks, size)
+                want = [brute_min_cover(r, p) == size for r in rows.tolist()]
+                assert arithmetic_progressions(rows, p).tolist() == want
+                seen.update(want)
+        assert seen == {False, True}
+
+
+def test_vosper_suite_names_the_first_disagreement(monkeypatch):
+    # with every AP test denied, the first set in enumeration order whose
+    # |2A| = 2|A| - 1 is {0, 1} in Z_5 (Z_2 and Z_3 hold none under p - 2),
+    # and the suite raises what vosper_verdict raises on it
+    monkeypatch.setattr(search, "arithmetic_progressions", lambda rows, p: np.zeros(len(rows), bool))
+    with pytest.raises(ConsistencyError, match=r"^Vosper equivalence failed on n=5:\{0,1\}$"):
+        run_suite("vosper")
+
+
 class _WalkStarted(Exception):
     pass
 
@@ -347,7 +376,8 @@ def test_dim_bound_ranks_every_set(monkeypatch):
 def test_walk_memory_stays_near_the_python_walks():
     # tracemalloc peaks: 2.1 MiB for prop23_variant at limit 20 (1.58 MiB
     # when it walked in Python; 5.0 MiB with walk slices of 2^15 children),
-    # 0.18 MiB for vosper
+    # 0.36 MiB for vosper (0.18 MiB with one verdict a set, 0.61 MiB with
+    # the stacked AP sweep in int32)
     import tracemalloc
 
     peaks = []
