@@ -180,14 +180,12 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     fail at this scale, case 2(i) among them, route to the exact-sweep
     fallback.  ConsistencyError only when a proven guarantee fails.
     """
-    p = a.modulus
     if not a.prime_modulus:
         raise PrimeRequiredError("engine requires prime modulus")
     if len(a) < 3:
         raise PreconditionFailedError("engine needs |A| >= 3")
     k = len(a)
     two_a = sumset(a)
-    bound = len(two_a) - k + 1
 
     window = best_half_window(a)
     trace = EngineTrace(input=a, window=window)
@@ -202,6 +200,19 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     # informational only: holds under the density hypothesis, never gated on
     trace.annotations["capture_above_0.8175"] = len(window) > 0.8175 * k
 
+    reason = _route(trace, a, len(two_a) - k + 1)
+    if reason is not None:
+        trace.branch = BRANCH_FALLBACK
+        trace.annotations["fallback_reason"] = reason
+        trace.result = _min_ap_cover(a, len(two_a))
+    _verify(trace, a, two_a)
+    return trace
+
+
+def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
+    """Take the branch the window calls for: finish the trace with that
+    branch's cover and return None, or return why the query falls back."""
+    p, k, window = a.modulus, len(a), trace.window
     base_map = AffineResidueMap(p, window.d, -window.u % p)
 
     if len(window) == k:
@@ -210,9 +221,8 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         trace.annotations[f"{BRANCH_WHOLE}_window_fit"] = True
         image = bits.rotate(window.captured.mask, -window.u, p)
         if _cover_in_window(trace, a, base_map, image, 0, bound, BRANCH_WHOLE, 1):
-            _verify(trace, a, two_a)
-            return trace
-        return _fallback(trace, a, two_a, "whole-set 3k-4 hypothesis failed")
+            return None
+        return "whole-set 3k-4 hypothesis failed"
 
     a1_ints = _rectified_ints(window.captured.mask, p, window.u)
     two_a1 = int_sumset(a1_ints)
@@ -221,13 +231,13 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     trace.annotations["a1_size"] = k1
     trace.annotations["a1_sumset_size"] = len(two_a1)
     if not trace.a1_doubling_ok:
-        return _fallback(trace, a, two_a, "captured part fails |2A1| <= 3.04|A1| - 7")
+        return "captured part fails |2A1| <= 3.04|A1| - 7"
 
     # the gate puts A1 in the domain: |2A1| >= 3|A1| - 3 forces |A1| >= 100
     try:
         trace.dim_a1, tl = dimension_and_lines(a1_ints, len(two_a1))
     except SearchRangeError as e:
-        return _fallback(trace, a, two_a, f"dimension of the captured part: {e}")
+        return f"dimension of the captured part: {e}"
     if tl is None:
         ap1 = min_cover_ap(a1_ints)
         trace.annotations["a1_cover_step"] = ap1.step
@@ -236,11 +246,9 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
         # bring the far half next to the near half
         g_inv = pow(ap1.step % p, -1, p)
         norm = base_map.then(g_inv, -g_inv * ap1.start % p)
-        to2 = norm.then(2)
-        if _finish_by_rectifying(trace, a, to2, bound, BRANCH_CASE1, 2):
-            _verify(trace, a, two_a)
-            return trace
-        return _fallback(trace, a, two_a, "case-1 re-dilation did not rectify")
+        if _finish_by_rectifying(trace, a, norm.then(2), bound, BRANCH_CASE1, 2):
+            return None
+        return "case-1 re-dilation did not rectify"
 
     r, s1 = tl.p1.step, tl.p1.start
     # orientation: first segment is the progression holding more of A1
@@ -284,22 +292,16 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     if analysis.test_i:
         # excluded by the argument's density hypotheses, not at this scale
         witness = bits.elements_of(analysis.test_i)[0]
-        return _fallback(
-            trace, a, two_a, f"case 2(i): (far + remainder) meets 2*far at {witness}"
-        )
+        return f"case 2(i): (far + remainder) meets 2*far at {witness}"
     for fired, dil, branch in (
         (analysis.test_ii, 2, BRANCH_CASE2_II),
         (analysis.test_iii, 3, BRANCH_CASE2_III),
     ):
         if fired:
-            to_d = norm.then(dil)
-            if _finish_by_rectifying(trace, a, to_d, bound, branch, dil):
-                _verify(trace, a, two_a)
-                return trace
-            return _fallback(
-                trace, a, two_a, f"dilation by {dil} did not pull A into one window"
-            )
-    return _fallback(trace, a, two_a, "no subcase intersection fired")
+            if _finish_by_rectifying(trace, a, norm.then(dil), bound, branch, dil):
+                return None
+            return f"dilation by {dil} did not pull A into one window"
+    return "no subcase intersection fired"
 
 
 @dataclass(frozen=True)
@@ -341,16 +343,6 @@ def two_segment_analysis(
         test_ii=far_rest & cross_sum_mask(near, far, p),
         test_iii=far_rest & cross_sum_mask(near, near, p),
     )
-
-
-def _fallback(
-    trace: EngineTrace, a: ResidueSet, two_a: ResidueSet, reason: str
-) -> EngineTrace:
-    trace.branch = BRANCH_FALLBACK
-    trace.annotations["fallback_reason"] = reason
-    trace.result = _min_ap_cover(a, len(two_a))
-    _verify(trace, a, two_a)
-    return trace
 
 
 def _verify(trace: EngineTrace, a: ResidueSet, two_a: ResidueSet) -> None:

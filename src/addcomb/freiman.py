@@ -379,7 +379,7 @@ def is_rectifiable(a: ResidueSet) -> bool:
 RECTIFY_CANDIDATE_BUDGET = 1 << 18
 
 
-def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
+def rectify_map(a: ResidueSet) -> dict[int, int]:
     """A sum-faithful embedding of a into Z, as residue -> integer.
 
     Deterministic: integer coefficient vectors over the required-nullspace
@@ -387,6 +387,8 @@ def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
     until one separates the sum classes, which exists when a is rectifiable
     because each pair of distinct class vectors agrees only on a proper
     subspace.  Past RECTIFY_CANDIDATE_BUDGET vectors the search gives up.
+    The map found is checked on its own: the pair-sum classes of a (mod n)
+    and of the image, index pair by index pair, must be in bijection.
     """
     elems = a.elements()
     k = len(elems)
@@ -413,18 +415,17 @@ def rectify_map(a: ResidueSet, verify: bool = True) -> dict[int, int]:
             f = [sum(map(mul, coeffs, col)) for col in columns]
             if len({f[i] + f[j] for i, j in reps}) < len(reps):
                 continue
-            image = dict(zip(elems, f))
-            if verify and not is_freiman_isomorphic(
-                a, IntSet.from_iterable(image.values())
-            ):
+            ta, tb = _class_table(elems, a.modulus)[0], _class_table(f, None)[0]
+            classes = ta.max() + 1
+            if tb.max() + 1 != classes or len(np.unique(ta * classes + tb)) != classes:
                 raise ConsistencyError("rectify produced a non-isomorphic image")
-            return image
+            return dict(zip(elems, f))
 
 
-def rectify(a: ResidueSet, verify: bool = True) -> IntSet:
+def rectify(a: ResidueSet) -> IntSet:
     if len(a) == 0:
         raise NotRectifiableError("empty set has no integer image")
-    return IntSet.from_iterable(rectify_map(a, verify=verify).values())
+    return IntSet.from_iterable(rectify_map(a).values())
 
 
 @dataclass(frozen=True)
@@ -492,10 +493,6 @@ class TwoLinesCover:
 
     p1: ApDescriptor
     p2: ApDescriptor
-
-    @property
-    def union_size(self) -> int:
-        return self.p1.length + self.p2.length
 
 
 def _step_lines(elems: list[int], r: int) -> tuple[ApDescriptor, ApDescriptor] | None:

@@ -87,9 +87,6 @@ class ApDescriptor:
         n = self.ambient
         return [(self.start + i * self.step) % n for i in range(self.length)]
 
-    def value_set(self) -> set[int]:
-        return set(self.values())
-
     def covers(self, elements) -> bool:
         start, step, n = self.start, self.step, self.ambient
         if n is None:

@@ -34,16 +34,13 @@ MAX_MODULUS = 1 << 22
 # crossover is on |A| alone: measured at 26k-60k for 65,537 <= n <= 2^22.
 CONVOLUTION_MIN_SIZE = 1 << 15
 
-# Dilated elements held per chunk of rows by the per-dilation sweeps, so a
-# sweep's working memory stays near 64 * CHUNK_ELEMENTS bytes whatever n * |A|.
-CHUNK_ELEMENTS = 1 << 18
-
-# Pair-map images held per step of the canonicity test, and children per
-# slice of the hunt's enumeration.  A cache-sized step is faster as well as
-# smaller than a CHUNK_ELEMENTS one: the p = 19 hunt took 0.014 s a call
-# against 0.026 s, with a tracemalloc peak of 0.7 MiB against 3.1 MiB, and
-# hunt_conjecture([29]) peaks at 6.7 MiB against 35.3 MiB (2-core Xeon,
-# numpy 2.4.6).
+# Entries every chunked kernel holds per step: dilated members in the
+# per-dilation sweeps, pair-map images in the canonicity test, children per
+# slice of the walks, row entries per rank stack.  A cache-sized step is
+# faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.014 s a
+# call against 0.026 s, hunt_conjecture([29]) peaks at 6.7 MiB against
+# 35.3 MiB under tracemalloc, and best_half_window on 4,000 random residues
+# of Z_16381 took 1.9 s against 2.2 s (2-core Xeon, numpy 2.4.6).
 CANONICAL_STEP_ENTRIES = 1 << 15
 
 
@@ -157,7 +154,7 @@ def dilation_rows(elements, n: int, multipliers):
     members = np.asarray(elements, dtype=_product_dtype(n))
     ms = np.asarray(multipliers, dtype=members.dtype)
     k = members.shape[-1]
-    per_chunk = max(1, CHUNK_ELEMENTS // members.size)
+    per_chunk = max(1, CANONICAL_STEP_ENTRIES // members.size)
     for lo in range(0, len(ms), per_chunk):
         chunk = ms[lo : lo + per_chunk]
         yield chunk, np.sort((chunk[:, None] * members[..., None, :] % n).reshape(-1, k), axis=1)

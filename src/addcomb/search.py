@@ -181,49 +181,6 @@ def _element_rows(masks: np.ndarray, k: int) -> np.ndarray:
     return rows
 
 
-def count_canonical_classes(p: int, k: int) -> int:
-    return sum(1 for _ in enumerate_canonical(p, k))
-
-
-def affine_orbit_count(p: int, k: int) -> int:
-    """Burnside count of affine classes of k-subsets of Z_p: average over the
-    group of the number of invariant k-subsets, via cycle structure."""
-    total = 0
-    for d in range(1, p):
-        for u in range(p):
-            cycles = _cycle_lengths(p, d, u)
-            total += _invariant_subset_count(cycles, k)
-    return total // (p * (p - 1))
-
-
-def _cycle_lengths(p: int, d: int, u: int) -> list[int]:
-    seen = [False] * p
-    out = []
-    for x0 in range(p):
-        if seen[x0]:
-            continue
-        length = 0
-        x = x0
-        while not seen[x]:
-            seen[x] = True
-            x = (d * x + u) % p
-            length += 1
-        out.append(length)
-    return out
-
-
-def _invariant_subset_count(cycles: list[int], k: int) -> int:
-    # knapsack over whole cycles
-    dp = [0] * (k + 1)
-    dp[0] = 1
-    for c in cycles:
-        if c > k:
-            continue
-        for s in range(k, c - 1, -1):
-            dp[s] += dp[s - c]
-    return dp[k]
-
-
 def _hunt_one_prime(p: int) -> tuple[int, int, list[dict]]:
     """p -> (p, classes_examined, counterexamples)."""
     examined = 0

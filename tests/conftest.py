@@ -184,3 +184,49 @@ def brute_two_lines_steps(elements):
                 steps.append(r)
                 break
     return steps
+
+
+def count_canonical_classes(p: int, k: int) -> int:
+    """The library's class count, for comparison with affine_orbit_count."""
+    from addcomb.search import enumerate_canonical
+
+    return sum(1 for _ in enumerate_canonical(p, k))
+
+
+def affine_orbit_count(p: int, k: int) -> int:
+    """Burnside count of affine classes of k-subsets of Z_p: average over the
+    group of the number of invariant k-subsets, via cycle structure."""
+    total = 0
+    for d in range(1, p):
+        for u in range(p):
+            cycles = _cycle_lengths(p, d, u)
+            total += _invariant_subset_count(cycles, k)
+    return total // (p * (p - 1))
+
+
+def _cycle_lengths(p: int, d: int, u: int) -> list[int]:
+    seen = [False] * p
+    out = []
+    for x0 in range(p):
+        if seen[x0]:
+            continue
+        length = 0
+        x = x0
+        while not seen[x]:
+            seen[x] = True
+            x = (d * x + u) % p
+            length += 1
+        out.append(length)
+    return out
+
+
+def _invariant_subset_count(cycles: list[int], k: int) -> int:
+    # knapsack over whole cycles
+    dp = [0] * (k + 1)
+    dp[0] = 1
+    for c in cycles:
+        if c > k:
+            continue
+        for s in range(k, c - 1, -1):
+            dp[s] += dp[s - c]
+    return dp[k]

@@ -28,9 +28,7 @@ from addcomb.freiman import (
 from addcomb.intsets import ApDescriptor, IntSet, sumset as int_sumset
 from addcomb.residues import ResidueSet, cross_sum_mask, sumset
 from addcomb.search import (
-    affine_orbit_count,
     build_family,
-    count_canonical_classes,
     family_instances,
     hunt_conjecture,
     run_suite,
@@ -43,6 +41,7 @@ from addcomb.spectral import (
     window_capture_counts,
 )
 from addcomb.primes import primes_upto
+from conftest import affine_orbit_count, count_canonical_classes
 
 
 def _criterion(num: int, name: str, ok: bool, detail: str) -> None:
@@ -392,7 +391,7 @@ def test_c10_structure_postconditions():
         a = ResidueSet.from_elements(p, rng.sample(range(p), k))
         if not is_rectifiable(a):
             continue
-        image = rectify(a, verify=False)
+        image = rectify(a)
         assert is_freiman_isomorphic(a, image), a.literal()
         calls += 1
 
@@ -411,7 +410,7 @@ def test_c10_structure_postconditions():
         if 3 * len(two_a) > 10 * len(a) - 21:
             continue
         res = two_lines_cover(a)
-        v1, v2 = res.p1.value_set(), res.p2.value_set()
+        v1, v2 = set(res.p1.values()), set(res.p2.values())
         assert set(a.elements) <= v1 | v2
         assert len(v1 | v2) <= len(two_a) - 2 * len(a) + 3
         s11 = {x + y for x in v1 for y in v1}

@@ -150,6 +150,8 @@ def test_usage_errors_exit_nonzero(capsys):
     assert code == 1
     code, _, err = invoke(capsys, "nosuchcommand")
     assert code == 1
+    code, _, err = invoke(capsys, "hunt", "--primes", "5,x")  # not a prime list
+    assert code == 1 and "Traceback" not in err
 
 
 def test_oversized_modulus_exits_1_quickly(tmp_path, capsys):
@@ -207,10 +209,13 @@ def test_version(capsys):
         '{"modulus": 11, "elements": "12"}',
         '{"modulus": 11, "elements": [null, 2]}',
         "not json",
+        "[]",
+        "[true, 3]",
+        '{"modulus": 11, "elements": [true, 5]}',
     ],
     ids=[
         "string-modulus", "float-element", "string-elements", "null-element",
-        "not-json",
+        "not-json", "empty-array", "bool-element", "bool-residue",
     ],
 )
 def test_malformed_file_exits_1(tmp_path, capsys, content):

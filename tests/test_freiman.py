@@ -77,7 +77,7 @@ def test_rectifiable_matches_quadruple_oracle():
         if not verdict:
             continue
         rectifiable += 1
-        f = rectify_map(a, verify=False)
+        f = rectify_map(a)
         pairs = list(combinations_with_replacement(els, 2))
         for (x, y), (u, v) in combinations(pairs, 2):
             equal_mod_n = (x + y - u - v) % n == 0
@@ -346,6 +346,15 @@ def test_rectify_postcondition():
     assert fmap[0] + fmap[1] == 2 * fmap[3]  # the one relation carries over
 
 
+def test_rectify_map_refuses_a_map_that_merges_sum_classes(monkeypatch):
+    # a fake nullspace point f = (0, 1, 1) separates the two listed classes,
+    # but sends 0 + 1 and 0 + 2, distinct mod 11, to the same sum
+    fake = ([[0, 1, 1]], [(0, 0), (0, 1)])
+    monkeypatch.setattr(freiman, "_separating_nullspace", lambda elems, modulus: fake)
+    with pytest.raises(ConsistencyError, match="non-isomorphic"):
+        rectify_map(rs(11, [0, 1, 2]))
+
+
 def test_rectify_whole_interval():
     a = rs(11, [0, 1, 2])
     out = rectify(a)
@@ -450,11 +459,11 @@ def _two_interval_set(gap=100, n1=6, n2=6, scale=1, shift=0):
 def test_two_lines_canonical_example():
     a = _two_interval_set()
     res = two_lines_cover(a)
-    assert res.union_size <= len(sumset(a)) - 2 * len(a) + 3
+    assert res.p1.length + res.p2.length <= len(sumset(a)) - 2 * len(a) + 3
     assert res.p1.step == res.p2.step
-    v1, v2 = res.p1.value_set(), res.p2.value_set()
+    v1, v2 = set(res.p1.values()), set(res.p2.values())
     assert set(a.elements) <= v1 | v2
-    assert len(sumset(a)) == 33 and res.union_size == 12
+    assert len(sumset(a)) == 33 and res.p1.length + res.p2.length == 12
 
 
 def test_two_lines_dilated_keeps_structure():
@@ -466,7 +475,7 @@ def test_two_lines_postconditions_verified_directly():
     for params in [dict(), dict(gap=57, n1=7, n2=5), dict(scale=3, shift=11)]:
         a = _two_interval_set(**params)
         res = two_lines_cover(a)
-        v1, v2 = res.p1.value_set(), res.p2.value_set()
+        v1, v2 = set(res.p1.values()), set(res.p2.values())
         s11 = {x + y for x in v1 for y in v1}
         s12 = {x + y for x in v1 for y in v2}
         s22 = {x + y for x in v2 for y in v2}
@@ -583,7 +592,7 @@ def test_two_lines_cover_certifies_dimension_two(monkeypatch):
             continue
         assert not ranks, a
         assert res.p1.start < res.p2.start and res.p1.step == res.p2.step
-        assert res.union_size <= len(sumset(a)) - 2 * len(a) + 3
+        assert res.p1.length + res.p2.length <= len(sumset(a)) - 2 * len(a) + 3
         assert additive_dimension_value(a) == 2 and ranks, a
         answered += 1
     assert answered >= 100
@@ -598,7 +607,7 @@ def test_two_lines_cover_past_the_row_budget():
     res = two_lines_cover(a)
     assert (res.p1.start, res.p1.step, res.p1.length) == (11, 3, 600)
     assert (res.p2.start, res.p2.step, res.p2.length) == (27011, 3, 500)
-    assert res.union_size == 1100 == len(sumset(a)) - 2 * len(a) + 3
+    assert res.p1.length + res.p2.length == 1100 == len(sumset(a)) - 2 * len(a) + 3
 
 
 def test_two_lines_refuses_on_size_without_a_rank(monkeypatch):

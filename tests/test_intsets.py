@@ -159,7 +159,7 @@ def test_covers_matches_value_set(rng):
             start, step = rng.randrange(n), rng.randrange(1, n // 2 + 1)
             pool = range(n)
         ap = ApDescriptor(start, step, length, ambient=n)
-        values = ap.value_set()
+        values = set(ap.values())
         wrap = (lambda x: x) if n is None else (lambda x: x % n)
         outside = [wrap(start - step), wrap(start + length * step)]
         for x in outside + rng.sample(pool, min(len(pool), 6)):

@@ -17,9 +17,7 @@ from addcomb.intsets import IntSet, sumset as int_sumset
 from addcomb.residues import ResidueSet, affine_canonical_form, sumset
 from addcomb.search import (
     FamilyParams,
-    affine_orbit_count,
     build_family,
-    count_canonical_classes,
     enumerate_canonical,
     family_instances,
     _normal_form_subsets,
@@ -28,7 +26,9 @@ from addcomb.search import (
     verify_family,
 )
 from addcomb.primes import primes_upto
-from conftest import brute_canonical, brute_min_cover, naive_sumset
+from conftest import (
+    affine_orbit_count, brute_canonical, brute_min_cover, count_canonical_classes, naive_sumset,
+)
 
 
 def test_enumeration_examples():
@@ -79,7 +79,6 @@ def test_enumeration_small_chunks_same_classes_same_order(monkeypatch):
     cases = [(13, k, None) for k in range(1, 14)]
     cases += [(17, k, min(3 * k - 4, 15)) for k in range(3, 10)]
     want = {c: [a.mask for a in enumerate_canonical(*c)] for c in cases}
-    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
     monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
     for c in cases:
         assert [a.mask for a in enumerate_canonical(*c)] == want[c], c
@@ -310,14 +309,13 @@ def test_campaign_reports_are_pinned():
 
 def test_stacked_ap_test_against_brute_cover(monkeypatch):
     # every set the vosper suite walks for p <= 13, a walk slice a stack,
-    # then again in stacks of a few rows with one multiplier a chunk, so
-    # that a stack goes on past the chunk where one row first hits
-    for entries, chunk in ((residues.CANONICAL_STEP_ENTRIES, residues.CHUNK_ELEMENTS), (200, 12)):
+    # then again in stacks of a few rows, and in stacks of one row with a
+    # few multipliers a chunk, so that a row's sweep stops at its first hit
+    for entries in (residues.CANONICAL_STEP_ENTRIES, 200, 12):
         monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
-        monkeypatch.setattr(residues, "CHUNK_ELEMENTS", chunk)
         seen = set()
         for p in primes_upto(13):
-            for size, masks, _ in search._walk(p, 2, p, p - 2, (0, 1), p, entries // p):
+            for size, masks, _ in search._walk(p, 2, p, p - 2, (0, 1), p, max(1, entries // p)):
                 rows = search._element_rows(masks, size)
                 want = [brute_min_cover(r, p) == size for r in rows.tolist()]
                 assert arithmetic_progressions(rows, p).tolist() == want

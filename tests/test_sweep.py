@@ -10,7 +10,7 @@ from addcomb import bits, residues, spectral
 from addcomb.covering import is_arithmetic_progression, min_ap_cover
 from addcomb.primes import primes_upto
 from addcomb.residues import (
-    CHUNK_ELEMENTS,
+    CANONICAL_STEP_ENTRIES,
     ResidueSet,
     dilation_gaps,
     half_units,
@@ -78,7 +78,7 @@ def test_dilation_gaps_chunking_keeps_row_order():
     # more rows than one chunk holds: every row is still seen, in order
     p = 4001
     els = list(range(0, 4000, 3))
-    rows = CHUNK_ELEMENTS // len(els)
+    rows = CANONICAL_STEP_ENTRIES // len(els)
     ms = np.arange(1, 3 * rows + 2)
     seen = np.concatenate([c for c, _, _ in dilation_gaps(els, p, ms)])
     assert seen.tolist() == ms.tolist()
@@ -162,7 +162,7 @@ def test_window_tie_across_chunks(rng):
         counts = cs[w:] - cs[:p]
         best.append((-int(counts.max()), d, int(counts.argmax())))
     top, d, u = min(best)
-    rows = CHUNK_ELEMENTS // len(els)
+    rows = CANONICAL_STEP_ENTRIES // len(els)
     assert any(c == top and rows < e <= p // 2 for c, e, _ in best)
     win = best_half_window(rs(p, els.tolist()))
     assert (len(win), win.d, win.u) == (-top, d, u)
@@ -220,7 +220,7 @@ def test_window_first_fit_in_a_later_chunk(monkeypatch):
     # seven elements a chunk: one row each, so d = 1 and d = 2 (which do not
     # fit) are swept in chunks before the fitting row d = 3
     p = 31
-    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
     monkeypatch.setattr(spectral, "_member_window_counts", no_member_sweep)
     els = scaled(p, [0, 1, 2, 3, 5, 8, 15], pow(3, -1, p))
     fits = [m for m in range(1, p // 2 + 1) if half_window_fit(els, p, [m])]
@@ -230,7 +230,7 @@ def test_window_first_fit_in_a_later_chunk(monkeypatch):
 
 
 def test_window_smallest_of_several_fitting_dilations(monkeypatch, rng):
-    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 1)  # one row a chunk
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 1)  # one row a chunk
     monkeypatch.setattr(spectral, "_member_window_counts", no_member_sweep)
     for _ in range(40):
         p = rng.choice([17, 19, 23, 29])
@@ -331,7 +331,7 @@ def test_fit_in_a_later_slice_is_the_smallest(monkeypatch, rng):
     # one row a chunk, and first fits past the first slice (32 rows) and
     # past the second (32 + 64): every earlier row is still tried, in order
     p = 401
-    monkeypatch.setattr(residues, "CHUNK_ELEMENTS", 7)
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 7)
     ms = half_units(p).tolist()
     for target in (33, 97, 150):
         base = [0, 200, *rng.sample(range(1, 200), 18)]
