@@ -20,6 +20,7 @@ _INT_RE = re.compile(r"^\{(.*)\}$")
 
 
 def _parse_body(body: str):
+    # lazy, so that checked_set refuses a bad modulus before any element
     for piece in body.split(",") if body else ():
         if not re.fullmatch(r"-?\d+", piece):
             raise LiteralError(f"bad element {piece!r}")
