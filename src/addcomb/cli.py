@@ -134,7 +134,7 @@ SET_COMMANDS = {
 _KIND_NAMES = {ResidueSet: "a residue-set", IntSet: "an integer-set"}
 
 
-def _load_set_argument(args, parser) -> ResidueSet | IntSet:
+def _load_set_argument(args) -> ResidueSet | IntSet:
     if args.file:
         try:
             with open(args.file) as fh:
@@ -144,7 +144,7 @@ def _load_set_argument(args, parser) -> ResidueSet | IntSet:
         except LiteralError as exc:
             raise LiteralError(f"--file: {exc}") from None
     if args.set is None:
-        parser.error("a set literal (or --file) is required")
+        raise LiteralError("a set literal (or --file) is required")
     return parse_any(args.set)
 
 
@@ -225,7 +225,7 @@ def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _dispatch(args, parser)
+        return _dispatch(args)
     except AddcombError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -236,13 +236,13 @@ def run(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args, parser) -> int:
+def _dispatch(args) -> int:
     cmd = args.command
     if cmd in SET_COMMANDS:
         _, kind, handler = SET_COMMANDS[cmd]
-        a = _load_set_argument(args, parser)
+        a = _load_set_argument(args)
         if kind is not None and not isinstance(a, kind):
-            parser.error(f"{cmd} expects {_KIND_NAMES[kind]} literal")
+            raise LiteralError(f"{cmd} expects {_KIND_NAMES[kind]} literal")
         if isinstance(handler, dict):
             handler = handler[args.kind]
         _emit(args, *handler(a))

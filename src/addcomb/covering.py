@@ -10,7 +10,7 @@ min(1/m, p - 1/m) then smallest start, is recovered for the winning step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -34,23 +34,22 @@ class CoverResult:
     within_bound: bool
 
     def to_json(self) -> dict:
-        return {
-            "length": self.length,
-            "witness": {
-                "start": self.witness.start,
-                "step": self.witness.step,
-                "length": self.witness.length,
-                "modulus": self.witness.ambient,
-            },
-            "bound": self.bound,
-            "within_bound": self.within_bound,
-        }
+        w = self.witness
+        witness = {"start": w.start, "step": w.step, "length": w.length, "modulus": w.ambient}
+        return {**asdict(self), "witness": witness}
 
 
-def _unit_step_min_cover(els: list[int], m: int) -> int:
-    """Minimal covering length over unit steps in Z_m (nonempty els)."""
-    sweep = dilation_gaps(els, m, half_units(m))
-    return m - max(int(gaps.max()) for _, gaps, _ in sweep)
+def _longest_runs(els: list[int], n: int) -> tuple[int, list[int]]:
+    """The longest circular run of residues missing from m * els over the
+    units m <= (n-1)/2 (nonempty els), and every m attaining it."""
+    run, ms_at_run = -1, []
+    for ms, gaps, _ in dilation_gaps(els, n, half_units(n)):
+        top = int(gaps.max())
+        if top > run:
+            run, ms_at_run = top, []
+        if top == run:
+            ms_at_run += ms[gaps == run].tolist()
+    return run, ms_at_run
 
 
 def min_ap_length_mod(mask: int, m: int) -> int:
@@ -68,7 +67,7 @@ def min_ap_length_mod(mask: int, m: int) -> int:
         r = els[0] % g
         if g < m and all(e % g == r for e in els):
             reduced = [(e - r) // g for e in els]
-            best = min(best, _unit_step_min_cover(reduced, m // g))
+            best = min(best, m // g - _longest_runs(reduced, m // g)[0])
     return best
 
 
@@ -94,13 +93,7 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
         witness = ApDescriptor(0, 1, p, ambient=p)
         return CoverResult(p, witness, bound, p <= bound)
     els = a.elements()
-    run, best = -1, []
-    for ms, gaps, _ in dilation_gaps(els, p, half_units(p)):
-        top = int(gaps.max())
-        if top > run:
-            run, best = top, []
-        if top == run:
-            best += ms[gaps == run].tolist()
+    run, best = _longest_runs(els, p)
     step = min(min(inv, p - inv) for inv in (pow(m, -1, p) for m in best))
     inv = pow(step, -1, p)
     row = sorted(x * inv % p for x in els)
@@ -161,15 +154,7 @@ class MainVerdict:
     conclusion_holds: bool
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "sumset_size": self.sumset_size,
-            "doubling_ok": self.doubling_ok,
-            "density_ok": self.density_ok,
-            "density_note": self.density_note,
-            "cover": self.cover.to_json(),
-            "conclusion_holds": self.conclusion_holds,
-        }
+        return {**asdict(self), "cover": self.cover.to_json()}
 
 
 DENSITY_DENOMINATOR = 10**10
@@ -206,13 +191,7 @@ class VosperVerdict:
     agree: bool
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "sumset_size": self.sumset_size,
-            "equality_holds": self.equality_holds,
-            "is_ap": self.is_ap,
-            "agree": self.agree,
-        }
+        return asdict(self)
 
 
 def vosper_verdict(a: ResidueSet) -> VosperVerdict:
@@ -260,15 +239,7 @@ class ConjectureVerdict:
     cover: CoverResult | None
 
     def to_json(self) -> dict:
-        return {
-            "size": self.size,
-            "sumset_size": self.sumset_size,
-            "x": self.x,
-            "condition_i": self.condition_i,
-            "condition_ii": self.condition_ii,
-            "status": self.status,
-            "cover": self.cover.to_json() if self.cover else None,
-        }
+        return {**asdict(self), "cover": self.cover.to_json() if self.cover else None}
 
 
 def conjecture_verdict(a: ResidueSet) -> ConjectureVerdict:

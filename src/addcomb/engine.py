@@ -250,11 +250,9 @@ def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
             return None
         return "case-1 re-dilation did not rectify"
 
-    r, s1 = tl.p1.step, tl.p1.start
+    r = tl.p1.step
     # orientation: first segment is the progression holding more of A1
-    n1 = sum(
-        1 for x in a1_ints.elements if (x - s1) % r == 0 and 0 <= x - s1 < r * tl.p1.length
-    )
+    n1 = sum(tl.p1.covers([x]) for x in a1_ints.elements)
     first, second = (tl.p1, tl.p2) if n1 * 2 >= k1 else (tl.p2, tl.p1)
     r_inv = pow(r % p, -1, p)
     norm = base_map.then(r_inv, -r_inv * first.start % p)

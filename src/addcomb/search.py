@@ -17,9 +17,10 @@ are independent of the worker count.
 from __future__ import annotations
 
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
@@ -66,20 +67,9 @@ class SearchReport:
         return not self.counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "tool_version": self.tool_version,
-            "campaign": self.campaign,
-            "parameters": self.parameters,
-            "classes_examined": self.classes_examined,
-            "counterexamples": self.counterexamples,
-            "notes": self.notes,
-            "wall_time": self.wall_time,
-        }
+        return asdict(self)
 
     def write(self, directory: str) -> str:
-        import os
-
         os.makedirs(directory, exist_ok=True)
 
         def flat(v):
@@ -230,21 +220,24 @@ def hunt_conjecture(
     results = _run_tasks(_hunt_one_prime, sorted(p_list), threads)
     examined = sum(r[1] for r in results)
     bad = [item for r in results for item in r[2]]
-    report = SearchReport(
+    return SearchReport(
         campaign="hunt-conjecture",
         parameters={"primes": sorted(p_list), "threads": threads},
         classes_examined=examined,
         counterexamples=bad,
         notes=notes,
+        wall_time=time.monotonic() - started,
     )
-    report.wall_time = time.monotonic() - started
-    return report
 
 
 def _run_tasks(fn, work, threads):
-    if threads <= 1 or len(work) <= 1:
+    """fn over work in order, on at most `threads` processes: never more
+    than there are work items or cores, since a forked pool starts every
+    worker at once."""
+    workers = min(threads, len(work), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(w) for w in work]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))
 
 
@@ -367,14 +360,13 @@ def verify_family(family: str, max_p: int, threads: int = 1) -> SearchReport:
     instances = family_instances(family, max_p)
     results = _run_tasks(_verify_one_instance, instances, threads)
     violations = [r for r in results if r is not None]
-    report = SearchReport(
+    return SearchReport(
         campaign=f"family-{family}",
         parameters={"family": family, "max_p": max_p, "threads": threads},
         classes_examined=len(instances),
         counterexamples=violations,
+        wall_time=time.monotonic() - started,
     )
-    report.wall_time = time.monotonic() - started
-    return report
 
 
 def _verify_one_instance(params: FamilyParams) -> dict | None:
@@ -571,12 +563,11 @@ def run_suite(name: str, **params) -> SearchReport:
         )
     started = time.monotonic()
     examined, violations, notes = _SUITES[name](**params)
-    report = SearchReport(
+    return SearchReport(
         campaign=f"suite-{name}",
-        parameters={"suite": name, **{k: v for k, v in params.items()}},
+        parameters={"suite": name, **params},
         classes_examined=examined,
         counterexamples=violations,
         notes=notes,
+        wall_time=time.monotonic() - started,
     )
-    report.wall_time = time.monotonic() - started
-    return report

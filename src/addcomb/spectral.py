@@ -19,7 +19,7 @@ are the member-anchored windows counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import sqrt
 
 import numpy as np
@@ -47,11 +47,6 @@ def _indicator(a: ResidueSet) -> np.ndarray:
     x = np.zeros(a.modulus)
     x[a.elements()] = 1.0
     return x
-
-
-def _transform_conj(a: ResidueSet) -> np.ndarray:
-    """numpy FFT of the indicator = conjugate of the transform used here."""
-    return np.fft.fft(_indicator(a))
 
 
 def spectrum(a: ResidueSet) -> Spectrum:
@@ -121,8 +116,9 @@ def energy_identity_residual(a: ResidueSet) -> float:
         raise PrimeRequiredError("identity requires prime modulus")
     if len(a) == 0:
         raise EmptySetError("identity of the empty set")
-    fa = _transform_conj(a)
-    f2 = _transform_conj(sumset(a))
+    # numpy's FFT is the conjugate of the transform used here
+    fa = np.fft.fft(_indicator(a))
+    f2 = np.fft.fft(_indicator(sumset(a)))
     total = np.sum(np.conj(fa) ** 2 * f2)
     target = len(a) ** 2 * a.modulus
     return float(abs(total - target) / target)
@@ -147,13 +143,9 @@ class RectWindow:
         return len(self.captured)
 
     def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "u": self.u,
-            "captured": self.captured.literal(),
-            "window_size": self.window_size,
-            "mode": self.mode,
-        }
+        out = {**asdict(self), "captured": self.captured.literal()}
+        del out["magnitude"]
+        return out
 
 
 def window_capture_counts(a: ResidueSet, d: int) -> np.ndarray:

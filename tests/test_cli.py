@@ -145,9 +145,12 @@ def test_usage_errors_exit_nonzero(capsys):
     assert "error" in err
     code, _, err = invoke(capsys, "cover", "n=11:{0,11}")  # duplicate after reduction
     assert code == 1
+    # a wrong set kind or a missing set is one error line, like any bad set
+    for argv in [("cover", "{1,2,3}"), ("dim", "n=11:{0,1}"), ("cover",), ("verdict", "main")]:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
     # argparse-level usage errors must also exit 1 (2 is reserved for findings)
-    code, _, err = invoke(capsys, "cover", "{1,2,3}")  # wrong literal kind
-    assert code == 1
     code, _, err = invoke(capsys, "nosuchcommand")
     assert code == 1
     code, _, err = invoke(capsys, "hunt", "--primes", "5,x")  # not a prime list
@@ -299,19 +302,25 @@ def test_integer_sumset_past_span_cap_exits_1(capsys):
     assert err.startswith("error: ") and "reaches the cap 4194304" in err
 
 
-def test_hunt_cap_defaults_to_the_library_cap(monkeypatch):
+def _load_script(name):
     import importlib.util
-    import sys
     from pathlib import Path
+
+    path = Path(__file__).parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+def test_hunt_cap_defaults_to_the_library_cap(monkeypatch):
+    import sys
 
     from addcomb.cli import build_parser
     from addcomb.search import HUNT_DEFAULT_MAX_P
 
     assert build_parser().parse_args(["hunt", "--primes", "5"]).max_p == HUNT_DEFAULT_MAX_P
-    path = Path(__file__).parents[1] / "scripts" / "run_conjecture_hunt.py"
-    spec = importlib.util.spec_from_file_location("run_conjecture_hunt", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = _load_script("run_conjecture_hunt")
     calls = []
 
     def hunt(primes, threads, max_p):
@@ -323,3 +332,32 @@ def test_hunt_cap_defaults_to_the_library_cap(monkeypatch):
     with pytest.raises(SystemExit):
         script.main()
     assert calls == [HUNT_DEFAULT_MAX_P]
+
+
+@pytest.mark.parametrize(
+    "name, call, finding",
+    [
+        ("run_family_audit", "verify_family",
+         {"params": {"k": 5, "x": 2, "t": None, "p": 13}, "cover_length": 7, "bound": 7}),
+        ("run_theorem_suites", "run_suite", {"set": [0, 1, 99], "max": 99, "size": 3}),
+    ],
+)
+def test_campaign_scripts_exit_by_findings(monkeypatch, tmp_path, capsys, name, call, finding):
+    import sys
+
+    from addcomb.search import SearchReport
+
+    script = _load_script(name)
+    for findings, code in [([], 0), ([finding], 2)]:
+        out = tmp_path / f"reports-{code}"
+
+        def campaign(label, *args, **kwargs):
+            return SearchReport(f"fake-{label}", {"label": label}, 1, findings)
+
+        monkeypatch.setattr(script, call, campaign)
+        monkeypatch.setattr(sys, "argv", [f"{name}.py", "--out", str(out)])
+        assert script.main() == code
+        written = sorted(out.iterdir())
+        assert written and all(path.suffix == ".json" for path in written)
+        printed = capsys.readouterr().out
+        assert all(f"-> {path}" in printed for path in written)

@@ -106,6 +106,8 @@ def test_general_modulus_min_ap():
     assert min_ap_length_mod(bits.mask_of([0, 1, 5], 10), 10) == _brute_mod(
         [0, 1, 5], 10
     )
+    with pytest.raises(EmptySetError):
+        min_ap_length_mod(0, 12)
 
 
 def _brute_mod(els, m):

@@ -141,6 +141,63 @@ def test_hunt_deterministic_and_parallel_equivalent():
     assert ja == jb
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps inline."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, work):
+        return map(fn, work)
+
+
+def test_worker_pool_is_bounded_by_work_and_cores(monkeypatch):
+    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
+    report = hunt_conjecture([5, 7], threads=64)
+    assert _RecordingPool.sizes == [2]
+    assert report.parameters["threads"] == 64  # the request, as given
+    monkeypatch.setattr(search.os, "cpu_count", lambda: 3)
+    verify_family("example1", 40, threads=64)
+    assert _RecordingPool.sizes == [2, 3]
+    monkeypatch.setattr(search.os, "cpu_count", lambda: None)
+    hunt_conjecture([5, 7], threads=64)  # unknown core count: serial
+    assert _RecordingPool.sizes == [2, 3]
+
+
+def test_campaign_guards():
+    with pytest.raises(SearchRangeError, match="not prime"):
+        hunt_conjecture([9])
+    with pytest.raises(SearchRangeError, match="1000"):
+        verify_family("example1", max_p=1001)
+    for params, match in [
+        (FamilyParams("example1", k=5), "needs k and x"),
+        (FamilyParams("example1", x=1), "needs k and x"),
+        (FamilyParams("example2"), "needs t"),
+        (FamilyParams("example3", t=5), "unknown family"),
+    ]:
+        with pytest.raises(InvalidParamsError, match=match):
+            build_family(params)
+    with pytest.raises(InvalidParamsError, match="unknown family"):
+        family_instances("nope", 11)
+
+
+def test_hunt_notes_primes_above_the_default_cap(monkeypatch):
+    monkeypatch.setattr(search, "HUNT_DEFAULT_MAX_P", 5)
+    report = hunt_conjecture([7], max_p=7)
+    assert report.notes[-1] == "runtime warning: primes above 5 can take long"
+    assert len(hunt_conjecture([5], max_p=7).notes) == 1
+
+
 def test_build_family_examples():
     a, expected = build_family(FamilyParams("example1", k=5, x=1))
     assert a.literal() == "n=11:{0,3,4,5,6}"
