@@ -108,26 +108,32 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
     return CoverResult(length, witness, bound, length <= bound)
 
 
-def arithmetic_progressions(rows, p: int) -> np.ndarray:
+def covered_within(rows, p: int, lengths) -> np.ndarray:
     """Which of N nonempty sets of one size k in Z_p, p prime, given as
-    sorted (N, k) rows, are arithmetic progressions: ell(A) = k, i.e. some
-    unit dilate m * A with m <= (p-1)/2 misses a run of p - k residues (a
-    singleton misses p - 1; all of Z_p misses runs of 0).  One sweep over
-    the rows, in stacks of about CANONICAL_STEP_ENTRIES dilated members;
-    a stack stops at the first chunk of multipliers where every row has
-    a hit."""
+    sorted (N, k) rows, have ell(A) <= lengths (one per row, or one for
+    all): some unit dilate m * A with m <= (p-1)/2 misses a run of at
+    least p - length residues (a singleton misses p - 1; all of Z_p misses
+    runs of 0).  One sweep over the rows, in stacks of about
+    CANONICAL_STEP_ENTRIES dilated members; a stack stops at the first
+    chunk of multipliers where every row has such a run."""
     rows = np.asarray(rows)
     n, k = rows.shape
+    runs = p - np.broadcast_to(lengths, n)
     ms = half_units(p)
     out = np.zeros(n, dtype=bool)
     per_stack = max(1, residues.CANONICAL_STEP_ENTRIES // (len(ms) * k))
     for lo in range(0, n, per_stack):
         hit = out[lo : lo + per_stack]
         for _, gaps, _ in dilation_gaps(rows[lo : lo + per_stack], p, ms):
-            hit |= (gaps.reshape(len(hit), -1) == p - k).any(axis=1)
+            hit |= (gaps.reshape(len(hit), -1) >= runs[lo : lo + per_stack, None]).any(axis=1)
             if hit.all():
                 break
     return out
+
+
+def arithmetic_progressions(rows, p: int) -> np.ndarray:
+    """Which sorted (N, k) rows of Z_p are arithmetic progressions: ell(A) = k."""
+    return covered_within(rows, p, np.shape(rows)[1])
 
 
 def is_arithmetic_progression(a: ResidueSet) -> bool:
@@ -242,6 +248,13 @@ class ConjectureVerdict:
         return {**asdict(self), "cover": self.cover.to_json() if self.cover else None}
 
 
+def conjecture_conditions(p: int, k, s):
+    """(x, condition i, condition ii) of ConjectureVerdict for sets of size
+    k with |2A| = s in Z_p: ints, or numpy arrays compared elementwise."""
+    x = s - (2 * k - 1)
+    return x, (0 <= x) & (x <= k - 4) & (x <= p - s - 2), (0 <= x) & (x == k - 3) & (x <= p - s - 3)
+
+
 def conjecture_verdict(a: ResidueSet) -> ConjectureVerdict:
     if not a.prime_modulus:
         raise PrimeRequiredError("verdict requires prime modulus")
@@ -251,9 +264,7 @@ def conjecture_verdict(a: ResidueSet) -> ConjectureVerdict:
     k = len(a)
     two_a = sumset(a)
     s = len(two_a)
-    x = s - (2 * k - 1)
-    cond_i = 0 <= x <= min(k - 4, p - s - 2)
-    cond_ii = 0 <= x and x == k - 3 and x <= p - s - 3
+    x, cond_i, cond_ii = conjecture_conditions(p, k, s)
     if not (cond_i or cond_ii):
         return ConjectureVerdict(k, s, x, cond_i, cond_ii, SILENT, None)
     cover = _min_ap_cover(a, s)

@@ -21,6 +21,7 @@ from .errors import (
     NonUnitDilationError,
     NotASubgroupError,
     PrimeRequiredError,
+    SearchRangeError,
 )
 from .primes import divisors, is_prime
 
@@ -37,11 +38,14 @@ CONVOLUTION_MIN_SIZE = 1 << 15
 # Entries every chunked kernel holds per step: dilated members in the
 # per-dilation sweeps, pair-map images in the canonicity test, children per
 # slice of the walks, row entries per rank stack.  A cache-sized step is
-# faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.014 s a
-# call against 0.026 s, hunt_conjecture([29]) peaks at 6.7 MiB against
-# 35.3 MiB under tracemalloc, and best_half_window on 4,000 random residues
+# faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.013 s a
+# call against 0.022 s, hunt_conjecture([29]) peaks at 7.1 MiB against
+# 35.5 MiB under tracemalloc, and best_half_window on 4,000 random residues
 # of Z_16381 took 1.9 s against 2.2 s (2-core Xeon, numpy 2.4.6).
 CANONICAL_STEP_ENTRIES = 1 << 15
+
+# the largest prime whose masks, and sumset masks, fit one uint64 word
+ENUMERATION_MAX_P = 61
 
 
 @dataclass(frozen=True, order=True)
@@ -239,14 +243,6 @@ def _pair_images(rows: np.ndarray, p: int, pairs: np.ndarray) -> np.ndarray:
     return images
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a < b in sorted-tuple order along the last axis, broadcasting: the
-    first nonzero entry of a - b is negative."""
-    diff = a - b
-    first = (diff != 0).argmax(axis=-1)[..., None]
-    return np.take_along_axis(diff, first, -1)[..., 0] < 0
-
-
 def _ordered_pairs(k: int) -> np.ndarray:
     """The k(k-1) ordered index pairs (i, j), i != j, those among the top
     members first: on the hunt's leaves they reject a non-canonical row
@@ -256,18 +252,31 @@ def _ordered_pairs(k: int) -> np.ndarray:
 
 
 def affine_canonical_rows(rows, p: int) -> np.ndarray:
-    """Which of the sorted rows (N, k) of members of Z_p are
-    affine-canonical: equal to their lexicographically least affine image.
+    """Which of the sorted rows (N, k) of members of Z_p, p <=
+    ENUMERATION_MAX_P, are affine-canonical: equal to their
+    lexicographically least affine image.
 
-    That image starts (0, 1), so only the k(k-1) maps sending an ordered
-    pair of members to (0, 1) can produce it.  A row is canonical iff none
-    of those images is lex-less than the row itself.  Rows go in chunks,
-    and a row leaves its chunk as soon as one image beats it; each step
-    holds about CANONICAL_STEP_ENTRIES image entries.
+    That image starts (0, 1), so only the k(k-1) maps z -> (z - x)/(y - x)
+    sending an ordered pair (x, y) of members to (0, 1) can produce it.
+    Rows and images compare as uint64 characteristic masks: the lex-least
+    sorted tuple is the lex-largest characteristic vector, so an image I
+    beats its row R iff the lowest set bit of I ^ R lies in I.  A table of
+    the bit of d/e for all differences d = z - x, e = y - x in (-p, p),
+    built once per call from the inverses mod p, makes an image the OR of k
+    gathered words.  Rows go in chunks, and a row leaves its chunk as soon
+    as one image beats it; each step holds about CANONICAL_STEP_ENTRIES
+    image entries.  Every table index, below 4p^2 < 2^15, fits int16.
     """
-    rows = np.asarray(rows, dtype=_product_dtype(p))
+    if p > ENUMERATION_MAX_P:
+        raise SearchRangeError(f"canonicity masks capped at p <= {ENUMERATION_MAX_P}")
+    rows = np.asarray(rows, dtype=np.int16)
     n, k = rows.shape
     pairs = _ordered_pairs(k)
+    w = 2 * p
+    bit = np.uint64(1) << np.arange(p, dtype=np.uint64)
+    diffs = np.arange(-p, p)
+    table = bit[diffs[:, None] * _inverse_mod(diffs % p, p) % p].ravel()  # at (d + p) * w + e + p
+    masks = np.bitwise_or.reduce(bit[rows], axis=1)
     out = np.zeros(n, dtype=bool)
     per_chunk = max(1, CANONICAL_STEP_ENTRIES // k)
     for lo in range(0, n, per_chunk):
@@ -277,15 +286,14 @@ def affine_canonical_rows(rows, p: int) -> np.ndarray:
             block = pairs[done : done + max(1, CANONICAL_STEP_ENTRIES // (len(alive) * k))]
             done += len(block)
             cur = rows[alive]
-            beaten = _lex_less(_pair_images(cur, p, block), cur[:, None, :])
-            alive = alive[~beaten.any(axis=1)]
+            base = cur[:, block[:, 1]] - cur[:, block[:, 0]] * (w + 1) + p * (w + 1)
+            images = np.zeros(base.shape, np.uint64)
+            for z in (cur * w).T:
+                images |= table.take(z[:, None] + base)
+            diff = images ^ masks[alive, None]
+            alive = alive[~(images & diff & (~diff + np.uint64(1))).any(axis=1)]
         out[alive] = True
     return out
-
-
-def _require_prime(a: ResidueSet) -> None:
-    if not a.prime_modulus:
-        raise PrimeRequiredError("canonical form requires prime modulus")
 
 
 def affine_canonical_form(a: ResidueSet) -> ResidueSet:
@@ -296,28 +304,24 @@ def affine_canonical_form(a: ResidueSet) -> ResidueSet:
     they are affinely equivalent.  The least image is the least of the
     k(k-1) pair images of affine_canonical_rows.
     """
-    _require_prime(a)
+    if not a.prime_modulus:
+        raise PrimeRequiredError("canonical form requires prime modulus")
     p, k = a.modulus, len(a)
     if k <= 1:
         return ResidueSet(p, int(k == 1))
     row = np.array([a.elements()], dtype=_product_dtype(p))
-    best = row[0]
+    best = a.elements()
     pairs = _ordered_pairs(k)
     per_block = max(1, CANONICAL_STEP_ENTRIES // k)
     for lo in range(0, len(pairs), per_block):
         images = _pair_images(row, p, pairs[lo : lo + per_block])[0]
-        least = images[np.lexsort(images.T[::-1])[0]]
-        if _lex_less(least, best):
-            best = least
-    return ResidueSet.from_elements(p, best.tolist())
+        best = min(best, images[np.lexsort(images.T[::-1])[0]].tolist())
+    return ResidueSet.from_elements(p, best)
 
 
 def is_affine_canonical(a: ResidueSet) -> bool:
-    """True iff a equals its own canonical form."""
-    _require_prime(a)
-    if len(a) <= 1:
-        return a.mask <= 1
-    return bool(affine_canonical_rows([a.elements()], a.modulus)[0])
+    """True iff a equals its own canonical form (any prime modulus)."""
+    return affine_canonical_form(a) == a
 
 
 def coset_profile(a: ResidueSet, h_order: int) -> CosetProfile:

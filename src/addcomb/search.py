@@ -6,9 +6,11 @@ residues need p <= 61 and integer sets [0, limit] need limit <= 31.
 Sumset-size caps prune prefixes soundly because a prefix sumset only grows.
 The hunt and the vosper suite grow (0, 1, e3 < e4 < ...): every class with
 at least two elements has a representative containing {0, 1} (map any two
-elements there); the hunt keeps the sets equal to their canonical form.  The
-integer suites grow from {0} and keep the sets with gcd 1; prop23_variant
-ranks only the sets that Freiman's lemma leaves open.
+elements there); the hunt keeps the sets equal to their canonical form and
+reads its verdicts off each walk slice's own sumset masks, with one stacked
+cover test for the sets that meet a conjecture condition.  The integer
+suites grow from {0} and keep the sets with gcd 1; prop23_variant ranks only
+the sets that Freiman's lemma leaves open.
 
 Reports are deterministic: two runs differ only in wall_time, and results
 are independent of the worker count.
@@ -31,7 +33,9 @@ from .covering import (
     COUNTEREXAMPLE,
     _min_ap_cover,
     arithmetic_progressions,
+    conjecture_conditions,
     conjecture_verdict,
+    covered_within,
 )
 from .errors import (
     ConsistencyError,
@@ -42,10 +46,8 @@ from .errors import (
 from .freiman import additive_dimensions, dimension_lower_bound, dimensions_one_down
 from .intsets import IntSet, cover_3k4
 from .primes import is_prime, primes_upto
-from .residues import ResidueSet, affine_canonical_rows, sumset
+from .residues import ENUMERATION_MAX_P, ResidueSet, affine_canonical_rows, sumset
 
-# the largest prime whose masks, and sumset masks, fit one uint64 word
-ENUMERATION_MAX_P = 61
 # an integer set in [0, limit] and its sumset in [0, 2 limit] fit one too
 INTEGER_WALK_MAX_LIMIT = 31
 HUNT_DEFAULT_MAX_P = 31
@@ -92,6 +94,12 @@ def enumerate_canonical(
 ) -> Iterator[ResidueSet]:
     """One affine-canonical representative per class of k-subsets of Z_p with
     |2A| <= doubling_cap (None = no cap), in lexicographic order."""
+    for masks, _, _ in _canonical_slices(p, k, doubling_cap):
+        yield from (ResidueSet(p, mask) for mask in masks.tolist())
+
+
+def _canonical_slices(p, k, doubling_cap):
+    """enumerate_canonical's classes as (masks, member rows, sumset masks) per walk slice."""
     if not is_prime(p):
         raise SearchRangeError(f"{p} is not prime")
     if p > ENUMERATION_MAX_P:
@@ -101,9 +109,11 @@ def enumerate_canonical(
     cap = doubling_cap if doubling_cap is not None else p
     # the lex-least member of every class starts 0, 1: an affine map sends
     # any two elements there
-    for _, leaves, _ in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CANONICAL_STEP_ENTRIES):
-        for leaf in leaves[affine_canonical_rows(_element_rows(leaves, k), p)]:
-            yield ResidueSet(p, int(leaf))
+    for _, leaves, sums in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CANONICAL_STEP_ENTRIES):
+        rows = _element_rows(leaves, k)
+        keep = affine_canonical_rows(rows, p)
+        rows = rows[keep]  # only the kept rows stay alive while the walk grows on
+        yield leaves[keep], rows, sums[keep]
 
 
 def _walk(n, lo, hi, cap, root, p, budget):
@@ -179,17 +189,20 @@ def _hunt_one_prime(p: int) -> tuple[int, int, list[dict]]:
     # conjecture conditions; only k <= (p+1)/2 can produce a verdict.  A
     # verdict also needs |2A| <= 3k - 4 (condition i) or = 3k - 4 (ii) and
     # |2A| <= p - 2, so the enumeration cap below loses no checkable class.
-    for k in range(1, p + 1):
-        if 2 * k - 1 > p:
-            break
+    # Only a row that fails the stacked cover test gets a verdict.
+    for k in range(1, (p + 1) // 2 + 1):
         cap = None if k <= 2 else min(3 * k - 4, p - 2)
-        for a in enumerate_canonical(p, k, cap):
-            examined += 1
-            verdict = conjecture_verdict(a)
-            if verdict.status == COUNTEREXAMPLE:
-                bad.append(
-                    {"set": a.literal(), "verdict": verdict.to_json()}
-                )
+        for masks, rows, sums in _canonical_slices(p, k, cap):
+            examined += len(masks)
+            s = np.bitwise_count(sums).astype(np.int64)
+            _, cond_i, cond_ii = conjecture_conditions(p, k, s)
+            live = np.flatnonzero(cond_i | cond_ii)
+            for i in live[~covered_within(rows[live], p, s[live] - k + 1)].tolist():
+                a = ResidueSet(p, int(masks[i]))
+                verdict = conjecture_verdict(a)
+                if verdict.status != COUNTEREXAMPLE:
+                    raise ConsistencyError(f"stacked cover test and verdict disagree on {a.literal()}")
+                bad.append({"set": a.literal(), "verdict": verdict.to_json()})
     return p, examined, bad
 
 
@@ -202,6 +215,8 @@ def hunt_conjecture(
     cardinality for each prime in p_list.  Expected outcome: no
     counterexamples."""
     started = time.monotonic()
+    if len(set(p_list)) < len(p_list):
+        raise InvalidParamsError(f"repeated prime in {list(p_list)}")
     for p in p_list:
         if not is_prime(p):
             raise SearchRangeError(f"{p} is not prime")

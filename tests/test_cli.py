@@ -88,6 +88,13 @@ def test_hunt_writes_report(tmp_path, capsys):
     assert len(reports) == 1
 
 
+def test_hunt_refuses_a_repeated_prime(tmp_path, capsys):
+    code, out, err = invoke(capsys, "hunt", "--primes", "5,5", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: repeated prime in [5, 5]\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_hunt_override_budget_warns(tmp_path, capsys):
     code, out, err = invoke(
         capsys, "hunt", "--primes", "5", "--override-budget", "--out", str(tmp_path), "--json"

@@ -12,6 +12,7 @@ from addcomb.errors import (
     NonUnitDilationError,
     NotASubgroupError,
     PrimeRequiredError,
+    SearchRangeError,
 )
 from addcomb.literals import parse_residue_set
 from addcomb.residues import (
@@ -289,6 +290,16 @@ def test_canonical_form_large_prime():
     assert affine_canonical_form(a).elements() == want
     assert is_affine_canonical(rs(p, want))
     assert not is_affine_canonical(a)
+
+
+def test_canonical_masks_refuse_primes_past_one_word():
+    # uint64 shifts wrap past bit 63, so the mask test stops at p = 61; the
+    # single-set test goes through the canonical form at any prime
+    assert affine_canonical_rows([[0, 1, 3]], 61).tolist() == [True]
+    with pytest.raises(SearchRangeError, match="p <= 61"):
+        affine_canonical_rows([[0, 1, 3]], 67)
+    assert is_affine_canonical(rs(67, [0, 1, 3]))
+    assert not is_affine_canonical(rs(67, [0, 1, 65]))  # 1 - 65 = 3
 
 
 # --- coset profiles -----------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from itertools import combinations
 from math import gcd
@@ -6,7 +8,9 @@ import numpy as np
 import pytest
 
 from addcomb import linalg, residues, search
-from addcomb.covering import arithmetic_progressions, min_ap_cover
+from addcomb.covering import (
+    COUNTEREXAMPLE, SILENT, _min_ap_cover, arithmetic_progressions, covered_within, min_ap_cover,
+)
 from addcomb.errors import (
     ConsistencyError,
     InvalidParamsError,
@@ -139,6 +143,66 @@ def test_hunt_deterministic_and_parallel_equivalent():
     ja.pop("wall_time"), jb.pop("wall_time")
     ja["parameters"].pop("threads"), jb["parameters"].pop("threads")
     assert ja == jb
+
+
+def test_hunt_refuses_a_repeated_prime():
+    with pytest.raises(InvalidParamsError, match=r"^repeated prime in \[5, 7, 5\]$"):
+        hunt_conjecture([5, 7, 5])
+
+
+# sha256 of each report less wall_time and parameters.threads, as written
+# when every class took its own conjecture_verdict ([5, 7, 11] at threads=2)
+HUNT_DIGESTS = {
+    (5,): "3040cba5be7dca2f69f42229092c1491386bff9f6a3c2a74ab645c9e2f9554ac",
+    (7,): "02bf5c19061c26d1a204b878307929d29676059b72951d7d5956722f3d73d5a9",
+    (11,): "046650aede9dcfcf7d998fddbee2105c355a6236bf192e87d8a00bdaf097c842",
+    (13,): "31cff07d17989d065cc1c37d2d2c5ffe2eac31865303746c8628b5319cfee604",
+    (17,): "33f74348bf429a4829dc1c0c6836124a2b5d6baf083632993bbdcf9392a8f138",
+    (19,): "776211ccdc49652d0976f3fe330b927fe4757d35590ea1dd530011b755ea83b4",
+    (23,): "1b390496c3650cf0f0eade10b486fbaa06a4b540d8c69989057e6f40daebc286",
+    (5, 7, 11): "5331a427413df98751cee63b078f28ccf1b886cbdcfadae76d0bb2bc2d5ef894",
+}
+
+
+@pytest.mark.parametrize("primes", sorted(HUNT_DIGESTS))
+def test_hunt_reports_are_pinned(primes):
+    body = _body(hunt_conjecture(list(primes), threads=2 if len(primes) > 1 else 1))
+    body["parameters"].pop("threads")
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    assert digest == HUNT_DIGESTS[primes]
+
+
+def _flag_every_row(rows, p, lengths):
+    return np.zeros(len(rows), dtype=bool)
+
+
+def test_hunt_refuses_a_flag_its_verdict_denies(monkeypatch):
+    # a row the stacked cover test fails must be a counterexample by its own
+    # verdict; the first live row is {0, 1, 2} in Z_11 (p = 5, 7 have none)
+    monkeypatch.setattr(search, "covered_within", _flag_every_row)
+    with pytest.raises(ConsistencyError, match=r"disagree on n=11:\{0,1,2\}$"):
+        hunt_conjecture([5, 7, 11])
+
+
+def test_hunt_reports_flagged_rows_in_enumeration_order(monkeypatch):
+    # every live row flagged, every non-silent verdict a counterexample: the
+    # hunt lists what one verdict per enumerated class lists, in its order
+    verdict = search.conjecture_verdict
+
+    def condemn(a):
+        v = verdict(a)
+        return v if v.status == SILENT else dataclasses.replace(v, status=COUNTEREXAMPLE)
+
+    monkeypatch.setattr(search, "covered_within", _flag_every_row)
+    monkeypatch.setattr(search, "conjecture_verdict", condemn)
+    for p in (11, 13, 17):
+        want = [
+            {"set": a.literal(), "verdict": condemn(a).to_json()}
+            for k in range(1, (p + 1) // 2 + 1)
+            for a in enumerate_canonical(p, k, None if k <= 2 else min(3 * k - 4, p - 2))
+            if condemn(a).status == COUNTEREXAMPLE
+        ]
+        assert want and hunt_conjecture([p]).counterexamples == want
 
 
 class _RecordingPool:
@@ -378,6 +442,22 @@ def test_stacked_ap_test_against_brute_cover(monkeypatch):
                 assert arithmetic_progressions(rows, p).tolist() == want
                 seen.update(want)
         assert seen == {False, True}
+
+
+@pytest.mark.parametrize("entries", [residues.CANONICAL_STEP_ENTRIES, 200, 12])
+def test_covered_within_against_min_ap_cover(monkeypatch, entries):
+    # every canonical class for p <= 13, with the length one short of
+    # ell(A), at it and one past it; stacks of a few rows and chunks of a
+    # few multipliers at the smaller step sizes
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
+    for p in primes_upto(13):
+        for k in range(1, p + 1):
+            sets = list(enumerate_canonical(p, k))
+            rows = np.array([a.elements() for a in sets])
+            ell = np.array([_min_ap_cover(a, len(sumset(a))).length for a in sets])
+            for shift in (-1, 0, 1):
+                assert covered_within(rows, p, ell + shift).tolist() == [shift >= 0] * len(sets)
+            assert (arithmetic_progressions(rows, p) == (ell == k)).all()
 
 
 def test_vosper_suite_names_the_first_disagreement(monkeypatch):
