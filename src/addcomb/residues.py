@@ -276,7 +276,7 @@ def affine_canonical_rows(rows, p: int) -> np.ndarray:
     bit = np.uint64(1) << np.arange(p, dtype=np.uint64)
     diffs = np.arange(-p, p)
     table = bit[diffs[:, None] * _inverse_mod(diffs % p, p) % p].ravel()  # at (d + p) * w + e + p
-    masks = np.bitwise_or.reduce(bit[rows], axis=1)
+    masks = sum(bit[col] for col in rows.T)  # members are distinct: the sum is the OR
     out = np.zeros(n, dtype=bool)
     per_chunk = max(1, CANONICAL_STEP_ENTRIES // k)
     for lo in range(0, n, per_chunk):
