@@ -38,9 +38,9 @@ CONVOLUTION_MIN_SIZE = 1 << 15
 # Entries every chunked kernel holds per step: dilated members in the
 # per-dilation sweeps, pair-map images in the canonicity test, children per
 # slice of the walks, row entries per rank stack.  A cache-sized step is
-# faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.013 s a
-# call against 0.022 s, hunt_conjecture([29]) peaks at 7.1 MiB against
-# 35.5 MiB under tracemalloc, and best_half_window on 4,000 random residues
+# faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.010 s a
+# call against 0.019 s, hunt_conjecture([29]) peaks at 7.8 MiB against
+# 43.2 MiB under tracemalloc, and best_half_window on 4,000 random residues
 # of Z_16381 took 1.9 s against 2.2 s (2-core Xeon, numpy 2.4.6).
 CANONICAL_STEP_ENTRIES = 1 << 15
 
@@ -271,6 +271,8 @@ def affine_canonical_rows(rows, p: int) -> np.ndarray:
         raise SearchRangeError(f"canonicity masks capped at p <= {ENUMERATION_MAX_P}")
     rows = np.asarray(rows, dtype=np.int16)
     n, k = rows.shape
+    if k == 1:  # no pair maps: {z} is canonical iff z = 0
+        return rows[:, 0] == 0
     pairs = _ordered_pairs(k)
     w = 2 * p
     bit = np.uint64(1) << np.arange(p, dtype=np.uint64)

@@ -4,11 +4,11 @@ Every exhaustive walk grows uint64 masks of sorted prefixes on one numpy
 frontier (_walk, _grow, _children); a set and its sumset share one word, so
 residues need p <= 61 and integer sets [0, limit] need limit <= 31.
 Sumset-size caps prune prefixes soundly because a prefix sumset only grows.
-The hunt and the vosper suite grow (0, 1, e3 < e4 < ...): every class with
-at least two elements has a representative containing {0, 1} (map any two
-elements there); the hunt keeps the sets equal to their canonical form and
-reads its verdicts off each walk slice's own sumset masks, with one stacked
-cover test for the sets that meet a conjecture condition.  The integer
+The hunt and the vosper suite grow (0, 1, e3 < e4 < ...), one walk a prime
+over every size: each class of two or more members has a representative
+containing {0, 1}.  The hunt walks at its loosest size cap, filters each
+slice by its own size's cap, keeps the canonical sets and reads verdicts off
+the slice's sumset masks, one stacked cover test per slice.  The integer
 suites grow from {0} and keep the sets with gcd 1; prop23_variant ranks only
 the sets that Freiman's lemma leaves open.
 
@@ -94,26 +94,25 @@ def enumerate_canonical(
 ) -> Iterator[ResidueSet]:
     """One affine-canonical representative per class of k-subsets of Z_p with
     |2A| <= doubling_cap (None = no cap), in lexicographic order."""
-    for masks, _, _ in _canonical_slices(p, k, doubling_cap):
+    for _, masks, _, _ in _canonical_slices(p, k, k, lambda size: p if doubling_cap is None else doubling_cap):
         yield from (ResidueSet(p, mask) for mask in masks.tolist())
 
 
-def _canonical_slices(p, k, doubling_cap):
-    """enumerate_canonical's classes as (masks, member rows, sumset masks) per walk slice."""
+def _canonical_slices(p, lo, hi, cap_of):
+    """(size, masks, member rows, sumset masks) per slice of one walk over the
+    affine-canonical sets of Z_p with lo <= size <= hi and |2A| <= cap_of(size),
+    which all start 0, 1: an affine map sends any two elements there."""
     if not is_prime(p):
         raise SearchRangeError(f"{p} is not prime")
     if p > ENUMERATION_MAX_P:
         raise SearchRangeError(f"enumeration capped at p <= {ENUMERATION_MAX_P}")
-    if not 1 <= k <= p:
-        raise SearchRangeError(f"k = {k} out of range for Z_{p}")
-    cap = doubling_cap if doubling_cap is not None else p
-    # the lex-least member of every class starts 0, 1: an affine map sends
-    # any two elements there
-    for _, leaves, sums in _walk(p, k, k, cap, (0, 1)[:k], p, residues.CANONICAL_STEP_ENTRIES):
-        rows = _element_rows(leaves, k)
-        keep = affine_canonical_rows(rows, p)
-        rows = rows[keep]  # only the kept rows stay alive while the walk grows on
-        yield leaves[keep], rows, sums[keep]
+    if not 1 <= lo <= hi <= p:
+        raise SearchRangeError(f"k = {lo} out of range for Z_{p}")
+    cap = max(map(cap_of, range(lo, hi + 1)))
+    for size, masks, sums in _walk(p, lo, hi, cap, (0, 1)[:lo], p, residues.CANONICAL_STEP_ENTRIES):
+        fit = np.flatnonzero(np.bitwise_count(sums) <= cap_of(size))
+        keep = fit[affine_canonical_rows(_element_rows(masks[fit], size), p)]
+        yield size, masks[keep], _element_rows(masks[keep], size), sums[keep]
 
 
 def _walk(n, lo, hi, cap, root, p, budget):
@@ -183,26 +182,25 @@ def _element_rows(masks: np.ndarray, k: int) -> np.ndarray:
 
 def _hunt_one_prime(p: int) -> tuple[int, int, list[dict]]:
     """p -> (p, classes_examined, counterexamples)."""
-    examined = 0
-    bad: list[dict] = []
     # For 2k - 1 >= p Cauchy-Davenport forces |2A| = p, which silences both
     # conjecture conditions; only k <= (p+1)/2 can produce a verdict.  A
     # verdict also needs |2A| <= 3k - 4 (condition i) or = 3k - 4 (ii) and
-    # |2A| <= p - 2, so the enumeration cap below loses no checkable class.
-    # Only a row that fails the stacked cover test gets a verdict.
-    for k in range(1, (p + 1) // 2 + 1):
-        cap = None if k <= 2 else min(3 * k - 4, p - 2)
-        for masks, rows, sums in _canonical_slices(p, k, cap):
-            examined += len(masks)
-            s = np.bitwise_count(sums).astype(np.int64)
-            _, cond_i, cond_ii = conjecture_conditions(p, k, s)
-            live = np.flatnonzero(cond_i | cond_ii)
-            for i in live[~covered_within(rows[live], p, s[live] - k + 1)].tolist():
-                a = ResidueSet(p, int(masks[i]))
-                verdict = conjecture_verdict(a)
-                if verdict.status != COUNTEREXAMPLE:
-                    raise ConsistencyError(f"stacked cover test and verdict disagree on {a.literal()}")
-                bad.append({"set": a.literal(), "verdict": verdict.to_json()})
+    # |2A| <= p - 2, so the per-size cap below loses no checkable class, and
+    # the silent {0} and {0, 1} are counted unwalked.
+    hi = (p + 1) // 2
+    examined, flagged, bad = min(2, hi), [], []
+    for k, masks, rows, sums in _canonical_slices(p, 3, hi, lambda k: min(3 * k - 4, p - 2)) if hi > 2 else ():
+        examined += len(masks)
+        s = np.bitwise_count(sums).astype(np.int64)
+        _, cond_i, cond_ii = conjecture_conditions(p, k, s)
+        live = np.flatnonzero(cond_i | cond_ii)
+        failed = live[~covered_within(rows[live], p, s[live] - k + 1)]
+        flagged += (ResidueSet(p, mask) for mask in masks[failed].tolist())
+    for a in sorted(flagged, key=len):  # the walk interleaves sizes, each in lex order
+        verdict = conjecture_verdict(a)
+        if verdict.status != COUNTEREXAMPLE:
+            raise ConsistencyError(f"stacked cover test and verdict disagree on {a.literal()}")
+        bad.append({"set": a.literal(), "verdict": verdict.to_json()})
     return p, examined, bad
 
 
@@ -215,6 +213,8 @@ def hunt_conjecture(
     cardinality for each prime in p_list.  Expected outcome: no
     counterexamples."""
     started = time.monotonic()
+    if not p_list:
+        raise InvalidParamsError("no primes to hunt")
     if len(set(p_list)) < len(p_list):
         raise InvalidParamsError(f"repeated prime in {list(p_list)}")
     for p in p_list:

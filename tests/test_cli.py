@@ -95,6 +95,13 @@ def test_hunt_refuses_a_repeated_prime(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_hunt_refuses_an_empty_prime_list(tmp_path, capsys):
+    code, out, err = invoke(capsys, "hunt", "--primes", ",", "--out", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err == "error: no primes to hunt\n"
+    assert not list(tmp_path.iterdir())
+
+
 def test_hunt_override_budget_warns(tmp_path, capsys):
     code, out, err = invoke(
         capsys, "hunt", "--primes", "5", "--override-budget", "--out", str(tmp_path), "--json"

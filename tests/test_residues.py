@@ -234,12 +234,13 @@ def test_canonical_form_matches_brute_oracle(rng):
 
 
 def test_canonical_kernel_every_subset_matches_brute_oracle():
-    # every subset of Z_p, p <= 11: the batched pair-map test, the single-set
-    # test and the canonical form all agree with the p(p-1)-map oracle
+    # every subset of Z_p, p <= 11, singletons too (they have no pair maps):
+    # the batched pair-map test, the single-set test and the canonical form
+    # all agree with the p(p-1)-map oracle
     for p in (2, 3, 5, 7, 11):
         for k in range(p + 1):
             subsets = list(itertools.combinations(range(p), k))
-            flags = affine_canonical_rows(subsets, p) if k >= 2 else None
+            flags = affine_canonical_rows(subsets, p) if k else None
             for i, els in enumerate(subsets):
                 want = brute_canonical(els, p) if k else ()
                 a = rs(p, els)

@@ -126,7 +126,8 @@ def test_enumeration_cap_prunes_exactly():
 def test_hunt_small_primes():
     report = hunt_conjecture([3, 5, 7])
     assert report.clean
-    assert report.classes_examined >= 6
+    # {0} and {0, 1} at each prime, and {0, 1, 2} in Z_7
+    assert report.classes_examined == 7
 
 
 def test_hunt_rejects_large_primes_without_override():
@@ -150,9 +151,17 @@ def test_hunt_refuses_a_repeated_prime():
         hunt_conjecture([5, 7, 5])
 
 
+def test_hunt_refuses_an_empty_prime_list():
+    with pytest.raises(InvalidParamsError, match=r"^no primes to hunt$"):
+        hunt_conjecture([])
+
+
 # sha256 of each report less wall_time and parameters.threads, as written
-# when every class took its own conjecture_verdict ([5, 7, 11] at threads=2)
+# when every class took its own conjecture_verdict ([5, 7, 11] at threads=2),
+# and for p = 2, 3 when every size took its own walk
 HUNT_DIGESTS = {
+    (2,): "b79f4586eb51ccfbbf59ff0d575337481a9b6090fcb93221f7fe520330972b8c",
+    (3,): "e2ef74623e26d5809abf8caa2c4f0812792fa4ad254e73b5ba40760dd42a7098",
     (5,): "3040cba5be7dca2f69f42229092c1491386bff9f6a3c2a74ab645c9e2f9554ac",
     (7,): "02bf5c19061c26d1a204b878307929d29676059b72951d7d5956722f3d73d5a9",
     (11,): "046650aede9dcfcf7d998fddbee2105c355a6236bf192e87d8a00bdaf097c842",
@@ -458,6 +467,44 @@ def test_covered_within_against_min_ap_cover(monkeypatch, entries):
             for shift in (-1, 0, 1):
                 assert covered_within(rows, p, ell + shift).tolist() == [shift >= 0] * len(sets)
             assert (arithmetic_progressions(rows, p) == (ell == k)).all()
+
+
+@pytest.mark.parametrize("entries", [residues.CANONICAL_STEP_ENTRIES, 200, 12])
+def test_hunt_walk_slices_join_into_each_size_enumeration(monkeypatch, entries):
+    # the hunt's one walk over sizes 3..(p+1)/2, its slices split mid-size
+    # and interleaved, holds each size's classes under that size's cap in
+    # the order of the size's own enumeration
+    cases = {}
+    for p in primes_upto(23)[2:]:
+        cap_of = lambda k, p=p: min(3 * k - 4, p - 2)
+        sizes = range(3, (p + 1) // 2 + 1)
+        cases[p] = cap_of, {k: [a.mask for a in enumerate_canonical(p, k, cap_of(k))] for k in sizes}
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
+    for p, (cap_of, want) in cases.items():
+        got = {k: [] for k in want}
+        order = []
+        for k, masks, rows, sums in search._canonical_slices(p, 3, max(want), cap_of):
+            sets = [ResidueSet(p, m) for m in masks.tolist()]
+            assert rows.tolist() == [a.elements() for a in sets]
+            assert sums.tolist() == [sumset(a).mask for a in sets]
+            got[k] += masks.tolist()
+            order.append(k)
+        assert got == want, p
+    assert order != sorted(order)  # at p = 23 the slices interleave sizes
+
+
+def test_hunt_walks_once_a_prime(monkeypatch):
+    # one walk over every size: at p = 23 it offers _children 195,454
+    # children, where one walk a size offered 496,426
+    walks, offered = [], []
+    walk, children = search._walk, search._children
+    monkeypatch.setattr(search, "_walk", lambda *a: walks.append(a[0]) or walk(*a))
+    monkeypatch.setattr(search, "_children", lambda *a: offered.append(int(a[-1].sum())) or children(*a))
+    hunt_conjecture([2, 3, 5, 7])
+    assert walks == [5, 7]
+    offered.clear()
+    hunt_conjecture([23])
+    assert walks == [5, 7, 23] and sum(offered) == 195_454
 
 
 def test_vosper_suite_names_the_first_disagreement(monkeypatch):
