@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -39,8 +40,9 @@ CONVOLUTION_MIN_SIZE = 1 << 15
 # per-dilation sweeps, pair-map images in the canonicity test, children per
 # slice of the walks, row entries per rank stack.  A cache-sized step is
 # faster as well as smaller than a 2^18 one: the p = 19 hunt took 0.010 s a
-# call against 0.019 s, hunt_conjecture([29]) peaks at 7.8 MiB against
-# 43.2 MiB under tracemalloc, and best_half_window on 4,000 random residues
+# call against 0.019 s, hunt_conjecture([29]) peaked at 7.8 MiB against
+# 43.2 MiB under tracemalloc (3.4 MiB, 0.3 s, since the walk drops
+# non-canonical prefixes), and best_half_window on 4,000 random residues
 # of Z_16381 took 1.9 s against 2.2 s (2-core Xeon, numpy 2.4.6).
 CANONICAL_STEP_ENTRIES = 1 << 15
 
@@ -243,12 +245,25 @@ def _pair_images(rows: np.ndarray, p: int, pairs: np.ndarray) -> np.ndarray:
     return images
 
 
+@lru_cache(maxsize=ENUMERATION_MAX_P)
 def _ordered_pairs(k: int) -> np.ndarray:
     """The k(k-1) ordered index pairs (i, j), i != j, those among the top
-    members first: on the hunt's leaves they reject a non-canonical row
-    after the fewest images."""
+    members first: on the walk's children, whose parents are canonical, they
+    reject a non-canonical row after the fewest images.  Cached read-only."""
     i, j = np.nonzero(~np.eye(k, dtype=bool))
-    return np.stack([i, j], axis=1)[np.lexsort((abs(i - j), -np.maximum(i, j)))]
+    pairs = np.stack([i, j], axis=1)[np.lexsort((abs(i - j), -np.maximum(i, j)))]
+    pairs.setflags(write=False)
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _quotient_table(p: int) -> np.ndarray:
+    """The uint64 bit of d/e mod p at (d + p) * 2p + e + p, for d, e in (-p, p)
+    and p <= ENUMERATION_MAX_P; cached read-only."""
+    diffs = np.arange(-p, p)
+    table = np.uint64(1) << (diffs[:, None] * _inverse_mod(diffs % p, p) % p).ravel().astype(np.uint64)
+    table.setflags(write=False)
+    return table
 
 
 def affine_canonical_rows(rows, p: int) -> np.ndarray:
@@ -262,7 +277,7 @@ def affine_canonical_rows(rows, p: int) -> np.ndarray:
     sorted tuple is the lex-largest characteristic vector, so an image I
     beats its row R iff the lowest set bit of I ^ R lies in I.  A table of
     the bit of d/e for all differences d = z - x, e = y - x in (-p, p),
-    built once per call from the inverses mod p, makes an image the OR of k
+    built once per p from the inverses mod p, makes an image the OR of k
     gathered words.  Rows go in chunks, and a row leaves its chunk as soon
     as one image beats it; each step holds about CANONICAL_STEP_ENTRIES
     image entries.  Every table index, below 4p^2 < 2^15, fits int16.
@@ -275,10 +290,8 @@ def affine_canonical_rows(rows, p: int) -> np.ndarray:
         return rows[:, 0] == 0
     pairs = _ordered_pairs(k)
     w = 2 * p
-    bit = np.uint64(1) << np.arange(p, dtype=np.uint64)
-    diffs = np.arange(-p, p)
-    table = bit[diffs[:, None] * _inverse_mod(diffs % p, p) % p].ravel()  # at (d + p) * w + e + p
-    masks = sum(bit[col] for col in rows.T)  # members are distinct: the sum is the OR
+    table = _quotient_table(p)
+    masks = sum(np.uint64(1) << col.astype(np.uint64) for col in rows.T)  # distinct members: the sum is the OR
     out = np.zeros(n, dtype=bool)
     per_chunk = max(1, CANONICAL_STEP_ENTRIES // k)
     for lo in range(0, n, per_chunk):

@@ -6,11 +6,12 @@ residues need p <= 61 and integer sets [0, limit] need limit <= 31.
 Sumset-size caps prune prefixes soundly because a prefix sumset only grows.
 The hunt and the vosper suite grow (0, 1, e3 < e4 < ...), one walk a prime
 over every size: each class of two or more members has a representative
-containing {0, 1}.  The hunt walks at its loosest size cap, filters each
-slice by its own size's cap, keeps the canonical sets and reads verdicts off
-the slice's sumset masks, one stacked cover test per slice.  The integer
-suites grow from {0} and keep the sets with gcd 1; prop23_variant ranks only
-the sets that Freiman's lemma leaves open.
+containing {0, 1}.  The hunt walks at its loosest size cap and drops each
+non-canonical prefix where it appears (a canonical set minus its largest
+member is canonical), filters each slice by its own size's cap and reads
+verdicts off the slice's sumset masks, one stacked cover test per slice.
+The integer suites grow from {0} and keep the sets with gcd 1;
+prop23_variant ranks only the sets that Freiman's lemma leaves open.
 
 Reports are deterministic: two runs differ only in wall_time, and results
 are independent of the worker count.
@@ -50,7 +51,7 @@ from .residues import ENUMERATION_MAX_P, ResidueSet, affine_canonical_rows, sums
 
 # an integer set in [0, limit] and its sumset in [0, 2 limit] fit one too
 INTEGER_WALK_MAX_LIMIT = 31
-HUNT_DEFAULT_MAX_P = 31
+HUNT_DEFAULT_MAX_P = 37
 
 
 @dataclass
@@ -101,7 +102,13 @@ def enumerate_canonical(
 def _canonical_slices(p, lo, hi, cap_of):
     """(size, masks, member rows, sumset masks) per slice of one walk over the
     affine-canonical sets of Z_p with lo <= size <= hi and |2A| <= cap_of(size),
-    which all start 0, 1: an affine map sends any two elements there."""
+    which all start 0, 1: an affine map sends any two elements there.
+
+    The walk drops a non-canonical prefix where it appears (orderly
+    generation), since A' = A minus max A is canonical if A is: were g(A') < A'
+    for an affine g, their first difference t would lie in g(A') below
+    max A' < max A, so g(A) would beat A at t or earlier.  The sumset cap and
+    the room bound hold on every prefix of a set that meets them."""
     if not is_prime(p):
         raise SearchRangeError(f"{p} is not prime")
     if p > ENUMERATION_MAX_P:
@@ -109,75 +116,70 @@ def _canonical_slices(p, lo, hi, cap_of):
     if not 1 <= lo <= hi <= p:
         raise SearchRangeError(f"k = {lo} out of range for Z_{p}")
     cap = max(map(cap_of, range(lo, hi + 1)))
-    for size, masks, sums in _walk(p, lo, hi, cap, (0, 1)[:lo], p, residues.CANONICAL_STEP_ENTRIES):
-        fit = np.flatnonzero(np.bitwise_count(sums) <= cap_of(size))
-        keep = fit[affine_canonical_rows(_element_rows(masks[fit], size), p)]
-        yield size, masks[keep], _element_rows(masks[keep], size), sums[keep]
+    for size, masks, rows, sums in _walk(p, lo, hi, cap, (0, 1)[:lo], p, residues.CANONICAL_STEP_ENTRIES, True):
+        fit = np.bitwise_count(sums) <= cap_of(size)
+        yield size, masks[fit], rows[fit], sums[fit]
 
 
-def _walk(n, lo, hi, cap, root, p, budget):
-    """(size, masks, sumset masks) slices of the sets that extend `root` by
-    larger members below n, with lo <= size <= hi and |2A| <= cap, sums mod
-    p (integer sums if p is None), each size in lexicographic order.  One
-    uint64 holds a set and its sumset: p <= ENUMERATION_MAX_P, or
-    n - 1 <= INTEGER_WALK_MAX_LIMIT for integer sets."""
+def _walk(n, lo, hi, cap, root, p, budget, canonical=False):
+    """(size, masks, member rows, sumset masks) slices of the sets (the
+    canonical ones if `canonical`) that extend `root` by larger members
+    below n, with lo <= size <= hi and |2A| <= cap, sums mod p (integer sums
+    if p is None), each size in lexicographic order.  One uint64 holds a set
+    and its sumset: p <= ENUMERATION_MAX_P, or n - 1 <= INTEGER_WALK_MAX_LIMIT.
+    Rows are int16, the canonicity test's own dtype."""
     sums = bits.mask_of([a + b for a in root for b in root], p or 64)
     if sums.bit_count() <= cap:
         masks = np.array([bits.mask_of(root, n), sums], dtype=np.uint64)
-        yield from _grow((n, lo, hi, cap, p, budget), len(root), masks[:1], masks[1:], np.array([root[-1]]))
+        yield from _grow((n, lo, hi, cap, p, budget, canonical), masks[:1], masks[1:], np.array([root], dtype=np.int16))
 
 
-def _grow(walk, size, masks, sums, lasts):
+def _grow(walk, masks, sums, rows):
     """The frontier every exhaustive walk shares (the hunt, the vosper suite
-    and the integer suites): yields the given prefixes (`size` members,
-    sumsets `sums`, largest members `lasts`) if size >= lo, then the
+    and the integer suites): yields the given prefixes (sumsets `sums`,
+    sorted members `rows`) if they have at least lo members, then the
     extensions of them that `_walk` describes.  Parents are expanded in
     slices of at most `budget` children, each grown to full size before the
     next, so memory stays within the depth times a slice."""
-    n, lo, hi, cap, p, budget = walk
+    n, lo, hi, cap, p, budget, canonical = walk
+    size = rows.shape[1]
     if size >= lo:
-        yield size, masks, sums
+        yield size, masks, rows, sums
     if size == hi:
         return
     # the next element e lies in (last, n - max(1, lo - size)], leaving room
     # for the members a set of size lo still needs after it
-    counts = (n - max(1, lo - size) - lasts).clip(0)
+    counts = (n - max(1, lo - size) - rows[:, -1]).clip(0)
     ends = np.cumsum(counts)
     start = 0
     while start < len(masks):
         stop = max(start + 1, int(np.searchsorted(ends, ends[start] - counts[start] + budget, "right")))
-        children = _children(p, cap, masks[start:stop], sums[start:stop], lasts[start:stop], counts[start:stop])
+        children = _children(p, cap, masks[start:stop], sums[start:stop], rows[start:stop], counts[start:stop])
+        if canonical:
+            keep = affine_canonical_rows(children[2], p)
+            children = tuple(c[keep] for c in children)
         if len(children[0]):
-            yield from _grow(walk, size + 1, *children)
+            yield from _grow(walk, *children)
         start = stop
 
 
-def _children(p, cap, masks, sums, lasts, counts):
-    """Each prefix extended by each of its `counts` next elements in turn,
-    keeping the children whose sumset (the parent's sums plus the child's
-    mask shifted by its new element, rotated mod p if p) has at most cap
-    members."""
+def _children(p, cap, masks, sums, rows, counts):
+    """The masks, sumset masks and member rows of each prefix extended by
+    each of its `counts` next elements in turn, keeping the children whose
+    sumset (the parent's sums plus the child's mask shifted by its new
+    element, rotated mod p if p) has at most cap members."""
     parent = np.repeat(np.arange(len(masks)), counts)
-    e = lasts[parent] + 1 + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+    e = rows[:, -1][parent] + 1 + np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
     shift = e.astype(np.uint64)
     child = masks[parent] | np.uint64(1) << shift
     shifted = child << shift
     if p:
         shifted = (shifted | child >> (np.uint64(p) - shift)) & np.uint64(bits.full_mask(p))
     child_sums = sums[parent] | shifted
-    keep = np.bitwise_count(child_sums) <= cap
-    return child[keep], child_sums[keep], e[keep]
-
-
-def _element_rows(masks: np.ndarray, k: int) -> np.ndarray:
-    """(N, k) sorted members of N uint64 masks of k elements each."""
-    rows = np.empty((len(masks), k), dtype=np.int64)
-    masks = masks.copy()
-    for c in range(k):
-        low = masks & (~masks + np.uint64(1))
-        rows[:, c] = np.bitwise_count(low - np.uint64(1))
-        masks ^= low
-    return rows
+    keep = np.flatnonzero(np.bitwise_count(child_sums) <= cap)
+    grown = np.empty((len(keep), rows.shape[1] + 1), np.int16)
+    grown[:, :-1], grown[:, -1] = rows.take(parent[keep], axis=0), e[keep]
+    return child[keep], child_sums[keep], grown
 
 
 def _hunt_one_prime(p: int) -> tuple[int, int, list[dict]]:
@@ -422,11 +424,10 @@ def _normal_form_subsets(
     depth = max(1, min(max_size, limit + 1))
     walk = _walk(limit + 1, max(1, min_size), max_size, 2 * limit + 1 if cap is None else cap,
                  (0,), None, residues.CANONICAL_STEP_ENTRIES // depth)
-    for size, masks, sums in walk:
-        sets = _element_rows(masks, size)
+    for _, masks, sets, sums in walk:
         keep = np.gcd.reduce(sets, axis=1) == 1
-        if keep.any():
-            yield sets[keep], np.bitwise_count(sums[keep]).astype(np.int64)
+        if keep.any():  # in int64: the rank stacks' pair sums pass int16
+            yield sets[keep].astype(np.int64), np.bitwise_count(sums[keep]).astype(np.int64)
 
 
 def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
@@ -437,11 +438,11 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
         raise SearchRangeError(f"vosper suite capped at max_p <= {ENUMERATION_MAX_P}")
     examined = 0
     for p in primes_upto(max_p):
-        for size, masks, sums in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
+        for size, masks, rows, sums in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
             examined += len(masks)
             # the walk keeps 2 <= |A| and |2A| <= p - 2, Vosper's hypotheses
             eq = np.bitwise_count(sums) == 2 * size - 1
-            failed = np.flatnonzero(eq != arithmetic_progressions(_element_rows(masks, size), p))
+            failed = np.flatnonzero(eq != arithmetic_progressions(rows, p))
             if len(failed):
                 a = ResidueSet(p, int(masks[failed[0]]))
                 raise ConsistencyError(f"Vosper equivalence failed on {a.literal()}")

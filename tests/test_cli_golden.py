@@ -60,7 +60,7 @@ _ERRORS = [
 ]
 
 _CAMPAIGNS = [
-    "hunt --primes 5,7", "hunt --primes 5 --override-budget", "hunt --primes 37",
+    "hunt --primes 5,7", "hunt --primes 5 --override-budget", "hunt --primes 41",
     "family verify example2 --max-p 20", "family verify example1 --max-p 23",
     "suite vosper", "suite dim_bound", "suite 3k4", "suite prop23_variant",
 ]

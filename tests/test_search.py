@@ -18,7 +18,7 @@ from addcomb.errors import (
     UnknownSuiteError,
 )
 from addcomb.intsets import IntSet, sumset as int_sumset
-from addcomb.residues import ResidueSet, affine_canonical_form, sumset
+from addcomb.residues import ResidueSet, affine_canonical_form, affine_canonical_rows, sumset
 from addcomb.search import (
     FamilyParams,
     build_family,
@@ -102,6 +102,12 @@ def test_hunt_p29_clean():
     assert report.classes_examined == 9631
 
 
+def test_hunt_p31_clean():
+    report = hunt_conjecture([31])
+    assert report.clean
+    assert report.classes_examined == 34364
+
+
 def test_enumeration_completeness_against_naive():
     # every k-subset canonicalizes to some enumerated representative
     import itertools
@@ -131,10 +137,10 @@ def test_hunt_small_primes():
 
 
 def test_hunt_rejects_large_primes_without_override():
-    # beyond p = 31 the sumset cap stops pruning (3k - 4 reaches p - 2) and
-    # the class count explodes; the budget cap guards against that
+    # beyond p = 37 the class count explodes (576,635 classes at p = 37);
+    # the budget cap guards against that
     with pytest.raises(SearchRangeError):
-        hunt_conjecture([37])
+        hunt_conjecture([41])
 
 
 def test_hunt_deterministic_and_parallel_equivalent():
@@ -158,7 +164,8 @@ def test_hunt_refuses_an_empty_prime_list():
 
 # sha256 of each report less wall_time and parameters.threads, as written
 # when every class took its own conjecture_verdict ([5, 7, 11] at threads=2),
-# and for p = 2, 3 when every size took its own walk
+# for p = 2, 3 when every size took its own walk, and for p = 29, 31 when
+# the walk tested canonicity on its leaves alone
 HUNT_DIGESTS = {
     (2,): "b79f4586eb51ccfbbf59ff0d575337481a9b6090fcb93221f7fe520330972b8c",
     (3,): "e2ef74623e26d5809abf8caa2c4f0812792fa4ad254e73b5ba40760dd42a7098",
@@ -169,6 +176,8 @@ HUNT_DIGESTS = {
     (17,): "33f74348bf429a4829dc1c0c6836124a2b5d6baf083632993bbdcf9392a8f138",
     (19,): "776211ccdc49652d0976f3fe330b927fe4757d35590ea1dd530011b755ea83b4",
     (23,): "1b390496c3650cf0f0eade10b486fbaa06a4b540d8c69989057e6f40daebc286",
+    (29,): "521318f1ef2945ecc79e6f53a7553e651cd2b372efbb2b1ef1cc1d1d555a5fd5",
+    (31,): "3e6b34d3d8514c47245fd75e3e5164322fed447098e07820d8e56b5adc0184f9",
     (5, 7, 11): "5331a427413df98751cee63b078f28ccf1b886cbdcfadae76d0bb2bc2d5ef894",
 }
 
@@ -445,8 +454,7 @@ def test_stacked_ap_test_against_brute_cover(monkeypatch):
         monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
         seen = set()
         for p in primes_upto(13):
-            for size, masks, _ in search._walk(p, 2, p, p - 2, (0, 1), p, max(1, entries // p)):
-                rows = search._element_rows(masks, size)
+            for size, _, rows, _ in search._walk(p, 2, p, p - 2, (0, 1), p, max(1, entries // p)):
                 want = [brute_min_cover(r, p) == size for r in rows.tolist()]
                 assert arithmetic_progressions(rows, p).tolist() == want
                 seen.update(want)
@@ -473,9 +481,11 @@ def test_covered_within_against_min_ap_cover(monkeypatch, entries):
 def test_hunt_walk_slices_join_into_each_size_enumeration(monkeypatch, entries):
     # the hunt's one walk over sizes 3..(p+1)/2, its slices split mid-size
     # and interleaved, holds each size's classes under that size's cap in
-    # the order of the size's own enumeration
+    # the order of the size's own enumeration; the last prime's slices
+    # interleave sizes: p = 29 at 2^15 entries a slice (the pruned p = 23
+    # walk no longer does), p = 23 at 200 and 12
     cases = {}
-    for p in primes_upto(23)[2:]:
+    for p in primes_upto(29 if entries == residues.CANONICAL_STEP_ENTRIES else 23)[2:]:
         cap_of = lambda k, p=p: min(3 * k - 4, p - 2)
         sizes = range(3, (p + 1) // 2 + 1)
         cases[p] = cap_of, {k: [a.mask for a in enumerate_canonical(p, k, cap_of(k))] for k in sizes}
@@ -490,21 +500,48 @@ def test_hunt_walk_slices_join_into_each_size_enumeration(monkeypatch, entries):
             got[k] += masks.tolist()
             order.append(k)
         assert got == want, p
-    assert order != sorted(order)  # at p = 23 the slices interleave sizes
+    assert order != sorted(order)  # the last prime's slices interleave sizes
 
 
 def test_hunt_walks_once_a_prime(monkeypatch):
-    # one walk over every size: at p = 23 it offers _children 195,454
-    # children, where one walk a size offered 496,426
-    walks, offered = [], []
-    walk, children = search._walk, search._children
+    # one walk over every size, dropping each non-canonical prefix where it
+    # appears: at p = 23 it offers _children 11,318 children and tests 5,746
+    # rows for canonicity, where testing the leaves alone offered 195,454
+    # and tested 38,696, and one walk a size offered 496,426
+    walks, offered, tested = [], [], []
+    walk, children, canonical = search._walk, search._children, search.affine_canonical_rows
     monkeypatch.setattr(search, "_walk", lambda *a: walks.append(a[0]) or walk(*a))
     monkeypatch.setattr(search, "_children", lambda *a: offered.append(int(a[-1].sum())) or children(*a))
+    monkeypatch.setattr(search, "affine_canonical_rows", lambda rows, p: tested.append(len(rows)) or canonical(rows, p))
     hunt_conjecture([2, 3, 5, 7])
     assert walks == [5, 7]
     offered.clear()
+    tested.clear()
     hunt_conjecture([23])
-    assert walks == [5, 7, 23] and sum(offered) == 195_454
+    assert walks == [5, 7, 23] and sum(offered) == 11_318 and sum(tested) == 5_746
+
+
+def _canonical_leaves(p, k, cap):
+    """enumerate_canonical's masks as the unpruned walk and a canonicity
+    test on its leaves alone find them."""
+    out = []
+    for _, masks, rows, _ in search._walk(p, k, k, p if cap is None else cap, (0, 1)[:k], p, 2**15):
+        out += masks[affine_canonical_rows(rows, p)].tolist()
+    return out
+
+
+@pytest.mark.parametrize("entries, max_p", [(residues.CANONICAL_STEP_ENTRIES, 23), (200, 17), (12, 13)])
+def test_pruned_walk_keeps_every_canonical_leaf(monkeypatch, entries, max_p):
+    # dropping non-canonical prefixes loses no canonical set and keeps the
+    # lexicographic order, for every k and the caps None, 2k and 3k - 4, in
+    # slices of 2^15, 200 and 12 children; the smaller slices stop at a
+    # smaller prime, since at 12 entries the canonicity test takes one image
+    # a step and p = 19 alone would take about 2 minutes
+    cases = [(p, k, cap) for p in primes_upto(max_p) for k in range(1, p + 1) for cap in (None, 2 * k, 3 * k - 4)]
+    want = {case: _canonical_leaves(*case) for case in cases}
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
+    for case in cases:
+        assert [a.mask for a in enumerate_canonical(*case)] == want[case], case
 
 
 def test_vosper_suite_names_the_first_disagreement(monkeypatch):
