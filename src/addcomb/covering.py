@@ -6,6 +6,19 @@ residues.dilation_gaps computes that run for a chunk of rows at a time
 (memory bounded whatever p * |A|).  Negation keeps every run, so m and p - m
 agree and only m <= (p-1)/2 is swept; the witness, smallest step
 min(1/m, p - 1/m) then smallest start, is recovered for the winning step.
+
+A set of at least residues.SAMPLE_MIN_SIZE members is first swept through
+a sample S of residues.SAMPLE_SIZE of them (_longest_runs), keeping S's
+longest run at every m, and then A itself at the m where that run is
+longest.  The rest of the sweep visits, in ascending order, only the m where
+S's run reaches A's run there.  That is exact: S lies inside A, so every
+residue missing from m * A is missing from m * S, every missing run of
+m * A lies inside one of m * S, and S's longest run bounds A's from above
+at every m.  A's run at any one m bounds the answer from below, so an m
+where S's run falls short of it can neither beat nor tie the answer, and
+skipping it changes neither the run nor the tied multipliers.  On a
+near-progression S's run is long only near the one step that matters, and
+A is sorted at a handful of the p/2 multipliers.
 """
 
 from __future__ import annotations
@@ -41,9 +54,16 @@ class CoverResult:
 
 def _longest_runs(els: list[int], n: int) -> tuple[int, list[int]]:
     """The longest circular run of residues missing from m * els over the
-    units m <= (n-1)/2 (nonempty els), and every m attaining it."""
+    units m <= (n-1)/2 (nonempty els), and every m attaining it; bounded
+    by residues.sweep_sample as the module docstring sets out."""
+    units = half_units(n)
+    sample = residues.sweep_sample(els)
+    if sample is not None:
+        runs = np.concatenate([gaps for _, gaps, _ in dilation_gaps(sample, n, units)])
+        _, floor, _ = next(dilation_gaps(els, n, units[runs.argmax(), None]))
+        units = units[runs >= floor]
     run, ms_at_run = -1, []
-    for ms, gaps, _ in dilation_gaps(els, n, half_units(n)):
+    for ms, gaps, _ in dilation_gaps(els, n, units):
         top = int(gaps.max())
         if top > run:
             run, ms_at_run = top, []
@@ -97,14 +117,17 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
     step = min(min(inv, p - inv) for inv in (pow(m, -1, p) for m in best))
     inv = pow(step, -1, p)
     row = sorted(x * inv % p for x in els)
+    # a run longer than every gap of this row (a sweep that lied) matches
+    # none: the witness is then shorter than any AP of this step covering
+    # els, and the check below refuses it
     start = min(
-        e * step % p
-        for prev, e in zip(row[-1:] + row[:-1], row)
-        if (e - prev - 1) % p == run
+        (e * step % p for prev, e in zip(row[-1:] + row[:-1], row) if (e - prev - 1) % p == run),
+        default=0,
     )
     length = p - run
     witness = ApDescriptor(start, step, length, ambient=p)
-    assert witness.covers(els), "cover witness failed verification"
+    if not witness.covers(els):
+        raise ConsistencyError("cover witness failed verification")
     return CoverResult(length, witness, bound, length <= bound)
 
 
@@ -203,7 +226,7 @@ class VosperVerdict:
 def vosper_verdict(a: ResidueSet) -> VosperVerdict:
     """Both sides of Vosper's equivalence: |2A| = 2|A| - 1 iff A is an AP,
     for 2 <= |A| and |2A| <= p - 2.  Disagreement would falsify the theorem
-    and raises AssertionError."""
+    and raises ConsistencyError."""
     if not a.prime_modulus:
         raise PrimeRequiredError("verdict requires prime modulus")
     k = len(a)

@@ -154,7 +154,8 @@ def _certified_nullspace(rows: np.ndarray, k: int) -> np.ndarray:
     so any spanning rows give it), each vector divided by its gcd with its
     free entry, the last nonzero one, positive."""
     basis = linalg.nullspace(rows, k)
-    assert not (rows @ basis.T).any(), "nullspace check failed"
+    if (rows @ basis.T).any():
+        raise ConsistencyError("nullspace check failed")
     return basis
 
 
@@ -460,7 +461,8 @@ def affine_extension(points, phi) -> AffineMap:
         )
     system = [diffs[i] + [phi[pts[i + 1]] - phi[base]] for i in chosen]
     pivots, reduced, det = linalg.echelon(system, d + 1)
-    assert pivots == list(range(d)), "independent differences, singular system"
+    if pivots != list(range(d)):
+        raise ConsistencyError("independent differences, singular system")
     coeffs = [Fraction(int(x), int(det)) for x in reduced[:, d]]
     offset = Fraction(phi[base]) - sum(c * x for c, x in zip(coeffs, base))
     candidate = AffineMap(tuple(coeffs), offset)

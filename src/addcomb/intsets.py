@@ -156,7 +156,7 @@ def cover_3k4(a: IntSet) -> ApDescriptor:
     length at most |2A| - |A| + 1.
 
     Equivalently the normal form satisfies max <= |2A| - |A|; a violation
-    would falsify the theorem and raises AssertionError.  The hypothesis is
+    would falsify the theorem and raises ConsistencyError.  The hypothesis is
     applied literally, so singletons and pairs are rejected even though they
     are trivially coverable — min_interval_cover serves the general question.
     """

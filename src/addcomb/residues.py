@@ -49,6 +49,16 @@ CANONICAL_STEP_ENTRIES = 1 << 15
 # the largest prime whose masks, and sumset masks, fit one uint64 word
 ENUMERATION_MAX_P = 61
 
+# A dilation sweep over a set of at least SAMPLE_MIN_SIZE members first
+# sweeps SAMPLE_SIZE of them, evenly spaced by rank, and the whole set only
+# on the multipliers where the sample's bound can win (half_window_fit,
+# covering._longest_runs).  On a 4,000-member near-AP of Z_65537 that took
+# min_ap_cover from 1.9-2.0 s to 0.03-0.04 s; on 4,000 random residues of
+# Z_16381, where nothing is skipped, both took 0.19-0.21 s (2-core Xeon,
+# numpy 2.4.6).
+SAMPLE_SIZE = 32
+SAMPLE_MIN_SIZE = 128
+
 
 @dataclass(frozen=True, order=True)
 class ResidueSet:
@@ -178,6 +188,17 @@ def dilation_gaps(elements, n: int, multipliers):
         yield ms, gaps[r, first], rows[r, first]
 
 
+def sweep_sample(members) -> np.ndarray | None:
+    """SAMPLE_SIZE of the members, evenly spaced by rank, or None for a set
+    of fewer than SAMPLE_MIN_SIZE.  Each row of the sample misses every run
+    the set's row misses, so its longest missing run is at least the set's
+    at every multiplier."""
+    k = len(members)
+    if k < SAMPLE_MIN_SIZE:
+        return None
+    return np.sort(members)[np.arange(SAMPLE_SIZE) * k // SAMPLE_SIZE]
+
+
 def half_window_fit(elements, n: int, multipliers) -> tuple[int, int] | None:
     """(m, u) for the first multiplier m, in the order given, whose dilate
     m * A lies inside a window of w = (n+1)//2 consecutive residues, with u
@@ -191,13 +212,25 @@ def half_window_fit(elements, n: int, multipliers) -> tuple[int, int] | None:
     the front (row 14 of about 400 in the median on small-doubling sets), so
     the rows go in slices of 32 that double up to the sweep's chunk, and the
     pass stops at the first slice holding a fit.
+
+    A set of SAMPLE_MIN_SIZE members or more sweeps its sweep_sample S over
+    each slice first and the whole set only on the multipliers where m * S
+    fits.  That is exact: m * S lies inside m * A, so its longest missing
+    run is at least A's, its span at most A's, and m * A fits only if m * S
+    does.  The rows skipped cannot fit, so the first fit and its least
+    start are the same.
     """
     members = np.asarray(elements, dtype=_product_dtype(n))
     ms = np.asarray(multipliers)
+    sample = sweep_sample(members)
     w = (n + 1) // 2
     lo, size = 0, 32
     while lo < len(ms):
-        for chunk, gaps, ends in dilation_gaps(members, n, ms[lo : lo + size]):
+        part = ms[lo : lo + size]
+        if sample is not None:
+            sample_rows = dilation_gaps(sample, n, part)
+            part = part[np.concatenate([n - gaps <= w for _, gaps, _ in sample_rows])]
+        for chunk, gaps, ends in dilation_gaps(members, n, part):
             fit = n - gaps <= w
             if fit.any():
                 i = int(fit.argmax())

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Iterator
@@ -254,6 +253,9 @@ def _run_tasks(fn, work, threads):
     workers = min(threads, len(work), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(w) for w in work]
+    # imported here: a serial run never pays the pool's ~16 ms import
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, work))
 

@@ -56,7 +56,8 @@ def spectrum(a: ResidueSet) -> Spectrum:
     half = np.abs(np.fft.rfft(_indicator(a)))
     half[0] = float(len(a))  # the d = 0 value is |A| by definition
     mags = np.concatenate([half, half[(p - 1) // 2 : 0 : -1]])
-    assert len(mags) == p
+    if len(mags) != p:
+        raise ConsistencyError(f"spectrum of length {len(mags)}, not p = {p}")
     return Spectrum(p, mags)
 
 
@@ -78,7 +79,7 @@ def largest_coefficient(a: ResidueSet) -> LargeCoefficient:
     bound that small doubling forces on it.
 
     Requires a proper nonempty (the bound degenerates at A = Z_p).  Violation
-    of the bound would falsify the guarantee and raises AssertionError.
+    of the bound would falsify the guarantee and raises ConsistencyError.
     """
     p = a.modulus
     k = len(a)
@@ -180,7 +181,7 @@ def best_half_window(a: ResidueSet) -> RectWindow:
     first row at the maximum, and u is then the first start attaining the
     maximum for that d.  Above 2^14, the d attaining the maximal Fourier
     magnitude is used with its best u; that capture is guaranteed at least
-    (|A| + |T_A(d)|)/2 and the mode is "fourier".  The closing assert
+    (|A| + |T_A(d)|)/2 and the mode is "fourier".  The closing check
     recounts the capture at (d, u): at count = |A| it proves the fit's
     window holds all of d * A, hence the maximum.
     """
@@ -216,5 +217,8 @@ def best_half_window(a: ResidueSet) -> RectWindow:
             )
     window_mask = bits.rotate((1 << w) - 1, u, p)
     captured = ResidueSet(p, dilate(a, d).mask & window_mask)
-    assert len(captured) == count
+    if len(captured) != count:
+        raise ConsistencyError(
+            f"window at (d, u) = ({d}, {u}) captures {len(captured)}, not {count}"
+        )
     return RectWindow(d, u, captured, w, mode, magnitude)

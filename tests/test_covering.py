@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from addcomb import bits
+from addcomb import bits, residues
 from addcomb.covering import (
     CONSISTENT,
     SILENT,
@@ -140,6 +140,15 @@ def test_general_modulus_exhaustive_small():
     for m in (4, 6, 8, 9, 10):
         for mask in range(1, 1 << m):
             assert min_ap_length_mod(mask, m) == _brute_mod(bits.elements_of(mask), m)
+
+
+def test_general_modulus_exhaustive_small_pruned(monkeypatch):
+    # sample size 2 from 4 members up: every set of four or more members,
+    # and every reduction to a coset with as many, takes the sample-bounded
+    # sweep, including the composite moduli whose non-units it skips
+    monkeypatch.setattr(residues, "SAMPLE_SIZE", 2)
+    monkeypatch.setattr(residues, "SAMPLE_MIN_SIZE", 4)
+    test_general_modulus_exhaustive_small()
 
 
 # --- verdicts ----------------------------------------------------------------

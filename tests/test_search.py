@@ -1,6 +1,10 @@
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
 from math import gcd
 
@@ -242,7 +246,8 @@ class _RecordingPool:
 
 
 def test_worker_pool_is_bounded_by_work_and_cores(monkeypatch):
-    monkeypatch.setattr(search, "ProcessPoolExecutor", _RecordingPool)
+    # _run_tasks imports the pool class from concurrent.futures when it forks
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     monkeypatch.setattr(search.os, "cpu_count", lambda: 8)
     report = hunt_conjecture([5, 7], threads=64)
@@ -254,6 +259,15 @@ def test_worker_pool_is_bounded_by_work_and_cores(monkeypatch):
     monkeypatch.setattr(search.os, "cpu_count", lambda: None)
     hunt_conjecture([5, 7], threads=64)  # unknown core count: serial
     assert _RecordingPool.sizes == [2, 3]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # a run that never forks should not pay for concurrent.futures.process
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, addcomb.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_campaign_guards():

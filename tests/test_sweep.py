@@ -5,9 +5,13 @@ checked against brute-force oracles and their tie-breaks."""
 import tracemalloc
 
 import numpy as np
+import pytest
 
-from addcomb import bits, residues, spectral
-from addcomb.covering import is_arithmetic_progression, min_ap_cover
+from addcomb import bits, covering, residues, spectral
+from addcomb.covering import (
+    _longest_runs, is_arithmetic_progression, min_ap_cover, min_ap_length_mod,
+)
+from addcomb.errors import ConsistencyError
 from addcomb.primes import primes_upto
 from addcomb.residues import (
     CANONICAL_STEP_ENTRIES,
@@ -339,3 +343,144 @@ def test_fit_in_a_later_slice_is_the_smallest(monkeypatch, rng):
         want = brute_first_fit(els, p, ms)
         assert want[0] == target
         assert half_window_fit(els, p, ms) == want
+
+
+# --- sample-bounded sweeps: sets of residues.SAMPLE_MIN_SIZE members or more
+
+
+def brute_units(n):
+    return [m for m in range(1, n // 2 + 1) if np.gcd(m, n) == 1]
+
+
+def brute_runs(els, n):
+    """The longest run missing from m * els over the half units, and every
+    m attaining it."""
+    gaps = {m: brute_gap(els, n, m)[0] for m in brute_units(n)}
+    run = max(gaps.values())
+    return run, [m for m, g in gaps.items() if g == run]
+
+
+def progression(rng, n, k, length, start=None):
+    """k members of the progression step * [start, start + length) in Z_n,
+    for a random unit step."""
+    step = rng.choice(brute_units(n))
+    start = rng.randrange(n) if start is None else start
+    return sorted({(start + i) * step % n for i in rng.sample(range(length), k)})
+
+
+def large_sets(rng, n):
+    """Sets of 128 or more members of Z_n: random ones (no dilate fits a
+    half window), near-progressions, one that wraps past 0 at its fitting
+    multiplier, and a short progression several multipliers fit."""
+    k = rng.randrange(128, max(n // 3, 129))
+    return [
+        rng.sample(range(n), rng.randrange(128, n - 1)),
+        progression(rng, n, k, int(1.25 * k)),
+        progression(rng, n, k, int(1.25 * k), start=-(k // 2)),
+        progression(rng, n, 128, 130),
+    ]
+
+
+def check_pruned_sweeps(els, n):
+    assert len(els) >= residues.SAMPLE_MIN_SIZE
+    assert _longest_runs(els, n) == brute_runs(els, n)
+    ms = half_units(n)
+    assert half_window_fit(els, n, ms) == brute_first_fit(els, n, ms.tolist())
+
+
+def test_pruned_sweeps_match_brute_prime(monkeypatch, rng):
+    for p in (257, 401, 1009):
+        for els in large_sets(rng, p):
+            check_pruned_sweeps(els, p)
+            a = rs(p, els)
+            got = (min_ap_cover(a), best_half_window(a))
+            with monkeypatch.context() as whole:
+                whole.setattr(residues, "SAMPLE_MIN_SIZE", p + 1)  # every row whole
+                assert got == (min_ap_cover(a), best_half_window(a))
+
+
+def test_pruned_cover_keeps_every_tied_multiplier(rng):
+    # A is a union of cosets of {1, h, -1, -h} (h^2 = -1): m and m * h
+    # miss the same runs, so the longest run is attained twice or more
+    for p in (401, 1009):
+        h = next(x for x in range(2, p) if x * x % p == p - 1)
+        seeds = rng.sample(range(1, p), 48)
+        els = sorted({s * g % p for s in seeds for g in (1, h, p - 1, p - h)})
+        check_pruned_sweeps(els, p)
+        assert len(brute_runs(els, p)[1]) >= 2
+
+
+def test_pruned_sweeps_composite_moduli(rng):
+    for n in (510, 777, 924, 1000):
+        # g > 1: the set lies in one coset of g, and its reduction to
+        # Z_{n/g} has 128 or more members too
+        g = next(g for g in (4, 3, 2) if n % g == 0 and n // g >= 250)
+        r = rng.randrange(g)
+        inside = [r + g * x for x in progression(rng, n // g, 128, 160)]
+        for els in [*large_sets(rng, n), inside]:
+            check_pruned_sweeps(els, n)
+            want = n
+            for d in range(1, n):
+                if n % d == 0 and len({x % d for x in els}) == 1:
+                    reduced = [(x - els[0] % d) // d for x in els]
+                    want = min(want, n // d - brute_runs(reduced, n // d)[0])
+            assert min_ap_length_mod(bits.mask_of(els, n), n) == want
+        check_pruned_sweeps([(x - r) // g for x in inside], n // g)
+
+
+def test_pruned_sweeps_sort_few_full_rows(monkeypatch, rng):
+    # a 400-member near-AP of Z_2003: the sample rules out all but a few of
+    # the 1,001 multipliers, for the cover and for the fit
+    p = 2003
+    els = progression(rng, p, 400, 500)
+    full_rows = []
+    rows = residues.dilation_rows
+
+    def counting(elements, n, multipliers):
+        for ms, chunk in rows(elements, n, multipliers):
+            if chunk.shape[1] == len(els):
+                full_rows.append(len(ms))
+            yield ms, chunk
+
+    monkeypatch.setattr(residues, "dilation_rows", counting)
+    res = min_ap_cover(rs(p, els))
+    assert res.witness.covers(els) and 0 < sum(full_rows) <= 64
+    full_rows.clear()
+    fit = half_window_fit(els, p, half_units(p))
+    assert fit is not None and 0 < sum(full_rows) <= 64
+    assert fit == brute_first_fit(els, p, [fit[0]])
+
+
+def test_sweep_sample_is_evenly_spaced_by_rank():
+    assert residues.sweep_sample(np.arange(127)) is None
+    members = np.arange(1000)[::-1] * 3
+    sample = residues.sweep_sample(members)
+    assert sample.tolist() == [3 * (i * 1000 // 32) for i in range(32)]
+
+
+def test_sweeps_exhaustive_tiny_primes_pruned(monkeypatch):
+    # sample size 2 from 4 members up: every set of four or more members
+    # takes the sample-bounded path
+    monkeypatch.setattr(residues, "SAMPLE_SIZE", 2)
+    monkeypatch.setattr(residues, "SAMPLE_MIN_SIZE", 4)
+    test_sweeps_exhaustive_tiny_primes()
+    test_fit_start_is_least_every_subset_up_to_11()
+
+
+def test_lying_sweeps_raise_consistency_error(monkeypatch, rng):
+    p = 1009
+    a = rs(p, progression(rng, p, 200, 250))
+    run, ms = _longest_runs(a.elements(), p)
+    wrong = next(m for m in range(1, p // 2 + 1) if m not in ms)
+    for lie in ((run + 1, ms), (run, [wrong])):
+        with monkeypatch.context() as patched:
+            patched.setattr(covering, "_longest_runs", lambda els, n: lie)
+            with pytest.raises(ConsistencyError, match="witness"):
+                min_ap_cover(a)
+    d, u = half_window_fit(a.elements(), p, half_units(p))
+    unfit = next(m for m in range(1, p) if half_window_fit(a.elements(), p, [m]) is None)
+    for lie in ((unfit, u), (d, (u + p // 2) % p)):
+        with monkeypatch.context() as patched:
+            patched.setattr(spectral, "half_window_fit", lambda *args: lie)
+            with pytest.raises(ConsistencyError, match="captures"):
+                best_half_window(a)
