@@ -37,7 +37,7 @@ from .covering import CoverResult, _min_ap_cover
 from .freiman import dimension_and_lines
 from .intsets import ApDescriptor, IntSet, cover_3k4, min_cover_ap, sumset as int_sumset
 from .residues import ResidueSet, cross_sum_mask, dilate, half_window_fit, sumset
-from .spectral import RectWindow, best_half_window, spectrum
+from .spectral import RectWindow, best_half_window, transform_magnitude
 
 BRANCH_WHOLE = "whole_set_rectifiable"
 BRANCH_CASE1 = "case1"
@@ -191,7 +191,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     trace = EngineTrace(input=a, window=window)
     magnitude = window.magnitude  # Fourier mode: the search's own transform
     if magnitude is None:
-        magnitude = float(spectrum(a).magnitudes[window.d])
+        magnitude = transform_magnitude(a, window.d)
     capture_bound = (k + magnitude) / 2
     trace.annotations["window_capture"] = len(window)
     trace.annotations["window_capture_lower_bound"] = capture_bound

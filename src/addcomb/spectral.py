@@ -4,7 +4,9 @@ Conventions: the transform of the indicator of A at frequency d is
 sum_{a in A} e^{2 pi i a d / p}.  numpy's FFT uses the conjugate kernel;
 magnitudes are unaffected and the one identity that needs phases conjugates
 explicitly.  Magnitudes are computed for d <= p/2 and mirrored, so conjugate
-symmetry holds exactly.  Inequality assertions on magnitudes use a 1e-6
+symmetry holds exactly.  transform_magnitude reads one frequency without a
+transform: an O(min(|A|, p - |A|)) sum whose angles come from residues
+reduced in exact integers.  Inequality assertions on magnitudes use a 1e-6
 absolute tolerance; any verdict that compares cardinalities is re-ranked in
 exact integers, so floating error never flips it.
 
@@ -59,6 +61,19 @@ def spectrum(a: ResidueSet) -> Spectrum:
     if len(mags) != p:
         raise ConsistencyError(f"spectrum of length {len(mags)}, not p = {p}")
     return Spectrum(p, mags)
+
+
+def transform_magnitude(a: ResidueSet, d: int) -> float:
+    """|T_A(d)|, one sum of unit vectors.  x * d is reduced mod p in int64
+    (exact for p < 3 * 10^9), so only the angles 2 pi r / p and the sums
+    round.  For d != 0 mod p, T_{Z_p}(d) = 0 gives |T_A(d)| = |T_{Z_p minus
+    A}(d)|, so a set denser than half sums its complement: Z_p reads 0."""
+    p = a.modulus
+    if d % p == 0:
+        return float(len(a))
+    mask = a.mask if 2 * len(a) <= p else a.mask ^ bits.full_mask(p)
+    theta = 2 * np.pi * (np.array(bits.elements_of(mask), dtype=np.int64) * (d % p) % p) / p
+    return float(np.hypot(np.cos(theta).sum(), np.sin(theta).sum()))
 
 
 @dataclass(frozen=True)
@@ -130,8 +145,8 @@ class RectWindow:
     """A half-length window [u, u + (p+1)/2) and the part of a dilate of A it
     captures.  `captured` lives in the dilated coordinates d * A.  In
     Fourier mode `magnitude` is |T_A(d)| as the search computed it, so a
-    caller needs no second transform; it is None in exact mode and stays
-    out of to_json."""
+    caller needs no second transform; the exact search computes none, so it
+    is None there (see transform_magnitude) and stays out of to_json."""
 
     d: int
     u: int

@@ -166,8 +166,9 @@ def test_fourier_mode_case1():
 
 def test_one_transform_per_query(monkeypatch):
     # Fourier mode reads |T_A(d)| off the window search's own transform;
-    # exact mode takes the one transform the capture bound needs
-    from addcomb import engine, spectral
+    # exact mode takes no transform, only the one-frequency sum
+    from addcomb import spectral
+    from addcomb.spectral import transform_magnitude
 
     calls = []
     transform = spectral.spectrum
@@ -177,14 +178,36 @@ def test_one_transform_per_query(monkeypatch):
         return transform(a)
 
     monkeypatch.setattr(spectral, "spectrum", counting)
-    monkeypatch.setattr(engine, "spectrum", counting)
-    for p, els in ((16411, range(1000)), (101, [*range(21), 24])):
+    for p, els, expected in ((16411, range(1000), [16411]), (101, [*range(21), 24], [])):
         calls.clear()
-        t = prove_cover(rs(p, els))
-        assert calls == [p]
-        assert t.annotations["window_capture_lower_bound"] == (
-            len(els) + float(transform(rs(p, els)).magnitudes[t.window.d])
-        ) / 2
+        a = rs(p, els)
+        t = prove_cover(a)
+        assert calls == expected
+        bound = t.annotations["window_capture_lower_bound"]
+        by_fft = (len(a) + float(transform(a).magnitudes[t.window.d])) / 2
+        if t.window.mode == "fourier":
+            assert bound == by_fft
+        else:
+            assert bound == (len(a) + transform_magnitude(a, t.window.d)) / 2
+            assert abs(bound - by_fft) <= 1e-12 * len(a)
+
+
+def test_capture_bound_gate_runs_in_exact_mode(monkeypatch):
+    # an impossible |T_A(d)| (above |A|) must trip the guarantee's check
+    from addcomb import engine
+    from addcomb.errors import ConsistencyError
+
+    monkeypatch.setattr(engine, "transform_magnitude", lambda a, d: 3.0 * len(a))
+    with pytest.raises(ConsistencyError, match="guaranteed bound"):
+        prove_cover(rs(101, [*range(21), 24]))
+
+
+def test_full_group_capture_bound_is_exactly_half():
+    # T_{Z_p}(d) = 0 for d != 0: the complement sum gives exactly 0, not
+    # the rounding residue of p unit vectors
+    for p in (3, 5, 7, 11):
+        t = prove_cover(rs(p, range(p)))
+        assert t.annotations["window_capture_lower_bound"] == p / 2
 
 
 def test_exact_mode_finishes_only_on_the_whole_set(rng):
@@ -393,7 +416,13 @@ def test_trace_json_is_pinned():
     assert {BRANCH_WHOLE, BRANCH_CASE1, BRANCH_FALLBACK} <= branches
     assert [t["window"]["mode"] for t in traces].count("fourier") == 2
     digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
-    assert digest == "21e964ac2a3a4b34e211a9487c2a73f201aea2cdc0cb16715ec9a6e8ab86892d"
+    assert digest == "b314ef8997b3b9793a3b2ff142aebce4b46c38c81af1d2a59718b7a26a05b29d"
+    # the pin of every byte but the float the one-frequency sum rounds
+    # differently from an FFT, recorded when |T_A(d)| came from the FFT
+    for t in traces:
+        del t["annotations"]["window_capture_lower_bound"]
+    digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
+    assert digest == "f5a7e9805d248f69bae47c5c6be213f7dc09bd49a8aee5fec9eb858dd9f5c3f6"
 
 
 def test_trace_json_schema():

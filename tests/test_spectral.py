@@ -14,6 +14,7 @@ from addcomb.spectral import (
     energy_identity_residual,
     largest_coefficient,
     spectrum,
+    transform_magnitude,
     window_capture_counts,
 )
 from conftest import brute_window_max
@@ -46,6 +47,28 @@ def test_spectrum_pair_closed_form():
 def test_spectrum_requires_prime():
     with pytest.raises(PrimeRequiredError):
         spectrum(rs(12, [0, 1]))
+
+
+def test_transform_magnitude_matches_spectrum_at_every_frequency(rng):
+    # sparse sets sum their members, dense ones (k > p/2) their complement
+    for _ in range(40):
+        p = rng.choice([7, 11, 13, 31, 101])
+        k = rng.randrange(1, p + 1)
+        els = rng.sample(range(p), k)
+        a = rs(p, els)
+        mags = spectrum(a).magnitudes
+        assert transform_magnitude(a, 0) == k
+        for d in range(p):
+            got = transform_magnitude(a, d)
+            assert got == pytest.approx(mags[d], abs=1e-9)
+            assert got == pytest.approx(abs(direct_transform(els, p, d)), abs=1e-9)
+
+
+def test_transform_magnitude_of_the_full_group_is_exact():
+    for p in (3, 5, 7, 11):
+        a = rs(p, range(p))
+        assert transform_magnitude(a, 0) == p
+        assert all(transform_magnitude(a, d) == 0.0 for d in range(1, 2 * p) if d % p)
 
 
 def test_spectrum_matches_direct_summation(rng):
