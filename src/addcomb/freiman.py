@@ -64,18 +64,6 @@ def _ground(obj) -> tuple[list, int | None]:
 PAIR_BUDGET = 1 << 21
 
 
-def _exact_array(values) -> np.ndarray:
-    """values as int64 while every coordinate is below 2^62 in size, so
-    that pair sums stay exact, and as Python ints past that."""
-    try:
-        v = np.array(values, dtype=np.int64)
-        if np.abs(v).view(np.uint64).max(initial=0) >> 62:
-            raise OverflowError
-    except OverflowError:
-        v = np.array(values, dtype=object)
-    return v
-
-
 def _pair_classes(elems, modulus: int | None):
     """The pair-sum kernel: index pairs i <= j sorted by elems[i] + elems[j]
     (reduced mod modulus unless it is None), as arrays (first, second, same)
@@ -85,7 +73,7 @@ def _pair_classes(elems, modulus: int | None):
     of Z^d, added coordinatewise, sums compared lexicographically), or a
     stack of N integer sets of one size as an (N, k) numpy array; a stack
     gets one such row of pairs per set, along the last axis.  Sums are
-    exact (see _exact_array).  Past PAIR_BUDGET pairs a set it raises
+    exact (see linalg.exact_array).  Past PAIR_BUDGET pairs a set it raises
     SearchRangeError before building any.
     """
     stacked = isinstance(elems, np.ndarray)
@@ -96,7 +84,7 @@ def _pair_classes(elems, modulus: int | None):
             f"{k} elements make {pairs} index pairs, past the budget "
             f"of {PAIR_BUDGET}"
         )
-    v = _exact_array(elems)
+    v = linalg.exact_array(elems)
     i, j = np.triu_indices(k)
     sums = v[..., i] + v[..., j] if stacked else v[i] + v[j]
     if modulus is not None:
@@ -188,7 +176,7 @@ def additive_dimensions(sets) -> np.ndarray:
     (N, k) array: k - 1 minus the rank of each set's required rows, with
     the N sets ranked in one stacked elimination.  The row budget holds
     for each set."""
-    sets = _exact_array(sets)
+    sets = linalg.exact_array(sets)
     k = sets.shape[-1]
     if k < 2:
         raise UndefinedDimensionError("dimension needs at least two elements")

@@ -41,7 +41,7 @@ class IntSet:
         return iter(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        return x in self.elements
 
     def min(self) -> int:
         return self.elements[0]

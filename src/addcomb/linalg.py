@@ -29,12 +29,16 @@ import numpy as np
 _ENTRY_LIMIT = 1 << 31
 
 
-def _integer_array(rows, shape) -> np.ndarray:
-    """rows as an int64 array of the given shape, or Python ints past int64."""
+def exact_array(values) -> np.ndarray:
+    """values as int64 while every entry is below 2^62 in size, so that a
+    sum of two entries stays exact, and as Python ints past that."""
     try:
-        return np.array(rows, dtype=np.int64).reshape(shape)
+        v = np.array(values, dtype=np.int64)
+        if np.abs(v).view(np.uint64).max(initial=0) >> 62:
+            raise OverflowError
     except OverflowError:
-        return np.array(rows, dtype=object).reshape(shape)
+        v = np.array(values, dtype=object)
+    return v
 
 
 def _hadamard_steps(m: np.ndarray) -> int:
@@ -88,7 +92,7 @@ def echelon_stack(rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     last pivot, 1 when it has none; reduced[n] / D[n] is the reduced row
     echelon form.  The rows are int64 with entries below 2^31, or Python
     ints, for the whole stack."""
-    m = _integer_array(rows, np.shape(rows))
+    m = exact_array(rows)
     n, r, k = m.shape
     safe = _hadamard_steps(m)
     rank = np.zeros(n, dtype=np.intp)
@@ -132,7 +136,7 @@ def echelon(rows, ncols: int) -> tuple[list[int], np.ndarray, int]:
     reduced rows (one per pivot, D at their own pivot, 0 at the others) and
     D; reduced / D is the reduced row echelon form.  D is 1 when there is
     no pivot.  The rows are int64 with entries below 2^31, or Python ints."""
-    pivots, m, d = echelon_stack(_integer_array(rows, (1, len(rows), ncols)))
+    pivots, m, d = echelon_stack(exact_array(rows).reshape(1, len(rows), ncols))
     found = np.flatnonzero(pivots[0]).tolist()
     return found, m[0, : len(found)], d[0]
 

@@ -115,18 +115,25 @@ def _canonical_slices(p, lo, hi, cap_of):
     if not 1 <= lo <= hi <= p:
         raise SearchRangeError(f"k = {lo} out of range for Z_{p}")
     cap = max(map(cap_of, range(lo, hi + 1)))
-    for size, masks, rows, sums in _walk(p, lo, hi, cap, (0, 1)[:lo], p, residues.CANONICAL_STEP_ENTRIES, True):
+    for size, masks, rows, sums in _walk(p, lo, hi, cap, (0, 1)[:lo], p, canonical=True):
         fit = np.bitwise_count(sums) <= cap_of(size)
         yield size, masks[fit], rows[fit], sums[fit]
 
 
-def _walk(n, lo, hi, cap, root, p, budget, canonical=False):
+def _walk(n, lo, hi, cap, root, p, *, canonical=False):
     """(size, masks, member rows, sumset masks) slices of the sets (the
     canonical ones if `canonical`) that extend `root` by larger members
     below n, with lo <= size <= hi and |2A| <= cap, sums mod p (integer sums
     if p is None), each size in lexicographic order.  One uint64 holds a set
     and its sumset: p <= ENUMERATION_MAX_P, or n - 1 <= INTEGER_WALK_MAX_LIMIT.
-    Rows are int16, the canonicity test's own dtype."""
+    Rows are int16, the canonicity test's own dtype.
+
+    Slices hold at most CANONICAL_STEP_ENTRIES children on the pruned
+    canonical walk, and that over the depth on any other walk, which then
+    holds at most CANONICAL_STEP_ENTRIES at once."""
+    budget = residues.CANONICAL_STEP_ENTRIES
+    if not canonical:
+        budget //= max(1, min(hi, n) - len(root) + 1)
     sums = bits.mask_of([a + b for a in root for b in root], p or 64)
     if sums.bit_count() <= cap:
         masks = np.array([bits.mask_of(root, n), sums], dtype=np.uint64)
@@ -418,14 +425,10 @@ def _normal_form_subsets(
     with sizes in [min_size, max_size] and, given a cap, |2A| <= cap (prefix
     sumsets only grow, so the cap prunes): an (N, k) array of sorted members
     and one of sumset sizes per walk slice, each size in lexicographic
-    order.  Every depth of the walk holds one slice of at most
-    CANONICAL_STEP_ENTRIES / depth children, so the walk holds at most
-    CANONICAL_STEP_ENTRIES at once."""
+    order, in the slices _walk bounds."""
     if limit > INTEGER_WALK_MAX_LIMIT:
         raise SearchRangeError(f"integer sets capped at [0, {INTEGER_WALK_MAX_LIMIT}]")
-    depth = max(1, min(max_size, limit + 1))
-    walk = _walk(limit + 1, max(1, min_size), max_size, 2 * limit + 1 if cap is None else cap,
-                 (0,), None, residues.CANONICAL_STEP_ENTRIES // depth)
+    walk = _walk(limit + 1, max(1, min_size), max_size, 2 * limit + 1 if cap is None else cap, (0,), None)
     for _, masks, sets, sums in walk:
         keep = np.gcd.reduce(sets, axis=1) == 1
         if keep.any():  # in int64: the rank stacks' pair sums pass int16
@@ -440,7 +443,7 @@ def _suite_vosper(max_p: int = 17) -> tuple[int, list[dict], list[str]]:
         raise SearchRangeError(f"vosper suite capped at max_p <= {ENUMERATION_MAX_P}")
     examined = 0
     for p in primes_upto(max_p):
-        for size, masks, rows, sums in _walk(p, 2, p, p - 2, (0, 1), p, residues.CANONICAL_STEP_ENTRIES // p):
+        for size, masks, rows, sums in _walk(p, 2, p, p - 2, (0, 1), p):
             examined += len(masks)
             # the walk keeps 2 <= |A| and |2A| <= p - 2, Vosper's hypotheses
             eq = np.bitwise_count(sums) == 2 * size - 1

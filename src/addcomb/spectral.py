@@ -6,7 +6,8 @@ magnitudes are unaffected and the one identity that needs phases conjugates
 explicitly.  Magnitudes are computed for d <= p/2 and mirrored, so conjugate
 symmetry holds exactly.  transform_magnitude reads one frequency without a
 transform: an O(min(|A|, p - |A|)) sum whose angles come from residues
-reduced in exact integers.  Inequality assertions on magnitudes use a 1e-6
+reduced in exact integers; the engine's capture bound reads |T_A(d)| there in
+both window modes.  Inequality assertions on magnitudes use a 1e-6
 absolute tolerance; any verdict that compares cardinalities is re-ranked in
 exact integers, so floating error never flips it.
 
@@ -143,25 +144,20 @@ def energy_identity_residual(a: ResidueSet) -> float:
 @dataclass(frozen=True)
 class RectWindow:
     """A half-length window [u, u + (p+1)/2) and the part of a dilate of A it
-    captures.  `captured` lives in the dilated coordinates d * A.  In
-    Fourier mode `magnitude` is |T_A(d)| as the search computed it, so a
-    caller needs no second transform; the exact search computes none, so it
-    is None there (see transform_magnitude) and stays out of to_json."""
+    captures.  `captured` lives in the dilated coordinates d * A; a caller
+    reads |T_A(d)| with transform_magnitude."""
 
     d: int
     u: int
     captured: ResidueSet
     window_size: int
     mode: str  # "exact" or "fourier"
-    magnitude: float | None = None
 
     def __len__(self) -> int:
         return len(self.captured)
 
     def to_json(self) -> dict:
-        out = {**asdict(self), "captured": self.captured.literal()}
-        del out["magnitude"]
-        return out
+        return {**asdict(self), "captured": self.captured.literal()}
 
 
 def window_capture_counts(a: ResidueSet, d: int) -> np.ndarray:
@@ -206,7 +202,6 @@ def best_half_window(a: ResidueSet) -> RectWindow:
     if len(a) == 0:
         raise EmptySetError("window of the empty set")
     w = (p + 1) // 2
-    magnitude = None
     if p <= EXACT_SEARCH_MAX_P:
         mode = "exact"
         fit = half_window_fit(a.elements(), p, half_units(p))
@@ -236,4 +231,4 @@ def best_half_window(a: ResidueSet) -> RectWindow:
         raise ConsistencyError(
             f"window at (d, u) = ({d}, {u}) captures {len(captured)}, not {count}"
         )
-    return RectWindow(d, u, captured, w, mode, magnitude)
+    return RectWindow(d, u, captured, w, mode)

@@ -375,3 +375,10 @@ def test_campaign_scripts_exit_by_findings(monkeypatch, tmp_path, capsys, name, 
         assert written and all(path.suffix == ".json" for path in written)
         printed = capsys.readouterr().out
         assert all(f"-> {path}" in printed for path in written)
+
+
+@pytest.mark.parametrize("argv", [("dim", "1,2,3"), ("sumset", "{1,2")])
+def test_integer_literal_refusal(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: not an integer-set literal: {argv[1]!r}"]

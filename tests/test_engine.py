@@ -13,6 +13,7 @@ from addcomb.engine import (
     prove_cover,
 )
 from addcomb.errors import PreconditionFailedError, PrimeRequiredError
+from addcomb.intsets import ApDescriptor
 from addcomb.residues import ResidueSet, sumset
 
 
@@ -165,8 +166,8 @@ def test_fourier_mode_case1():
 
 
 def test_one_transform_per_query(monkeypatch):
-    # Fourier mode reads |T_A(d)| off the window search's own transform;
-    # exact mode takes no transform, only the one-frequency sum
+    # only Fourier mode's window search takes a transform; both modes read
+    # |T_A(d)| off the one-frequency sum
     from addcomb import spectral
     from addcomb.spectral import transform_magnitude
 
@@ -185,11 +186,8 @@ def test_one_transform_per_query(monkeypatch):
         assert calls == expected
         bound = t.annotations["window_capture_lower_bound"]
         by_fft = (len(a) + float(transform(a).magnitudes[t.window.d])) / 2
-        if t.window.mode == "fourier":
-            assert bound == by_fft
-        else:
-            assert bound == (len(a) + transform_magnitude(a, t.window.d)) / 2
-            assert abs(bound - by_fft) <= 1e-12 * len(a)
+        assert bound == (len(a) + transform_magnitude(a, t.window.d)) / 2
+        assert abs(bound - by_fft) <= 1e-12 * len(a)
 
 
 def test_capture_bound_gate_runs_in_exact_mode(monkeypatch):
@@ -199,6 +197,22 @@ def test_capture_bound_gate_runs_in_exact_mode(monkeypatch):
 
     monkeypatch.setattr(engine, "transform_magnitude", lambda a, d: 3.0 * len(a))
     with pytest.raises(ConsistencyError, match="guaranteed bound"):
+        prove_cover(rs(101, [*range(21), 24]))
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda ap: ApDescriptor(ap.start + ap.step, ap.step, ap.length - 1), "does not cover"),
+    (lambda ap: ApDescriptor(ap.start, ap.step, ap.length + 10), "claims the bound but exceeds it"),
+], ids=["misses a member", "past the bound"])
+def test_verify_rechecks_the_rectified_cover(monkeypatch, change, message):
+    # _verify is the one re-check of a whole-set cover: a progression that
+    # misses the least member, or one past the bound (25 + 10 > 28), must trip it
+    from addcomb import engine
+    from addcomb.errors import ConsistencyError
+
+    cover = engine.cover_3k4
+    monkeypatch.setattr(engine, "cover_3k4", lambda ints: change(cover(ints)))
+    with pytest.raises(ConsistencyError, match=message):
         prove_cover(rs(101, [*range(21), 24]))
 
 
@@ -416,7 +430,7 @@ def test_trace_json_is_pinned():
     assert {BRANCH_WHOLE, BRANCH_CASE1, BRANCH_FALLBACK} <= branches
     assert [t["window"]["mode"] for t in traces].count("fourier") == 2
     digest = hashlib.sha256(json.dumps(traces).encode()).hexdigest()
-    assert digest == "b314ef8997b3b9793a3b2ff142aebce4b46c38c81af1d2a59718b7a26a05b29d"
+    assert digest == "f7c46dad3aacd4e5a3fa25b32bb64a90e62ac38f362369deeec2a536578cd5e2"
     # the pin of every byte but the float the one-frequency sum rounds
     # differently from an FFT, recorded when |T_A(d)| came from the FFT
     for t in traces:

@@ -31,6 +31,14 @@ def test_literal_parse_and_format():
         parse_int_set("{}")
 
 
+def test_int_set_value_methods():
+    a = IntSet.of(14, 6, 10)
+    assert 10 in a and 6 in a
+    assert 7 not in a and -6 not in a
+    assert list(a) == [6, 10, 14]
+    assert repr(a) == "IntSet([6, 10, 14])"
+
+
 def test_normal_form_examples():
     assert normal_form(IntSet.of(6, 10, 14)) == IntSet.of(0, 1, 2)
     assert normal_form(IntSet.of(0, 1, 2)) == IntSet.of(0, 1, 2)

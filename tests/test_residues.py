@@ -60,6 +60,14 @@ def test_literal_round_trip():
     assert a.literal() == "n=11:{0,3,4,5,6}"
 
 
+def test_residue_set_value_methods():
+    a = parse_residue_set("n=11:{0,3,4,5,6}")
+    assert 3 in a and 14 in a and -8 in a  # membership reads the residue
+    assert 1 not in a and 12 not in a
+    assert list(a) == [0, 3, 4, 5, 6]
+    assert repr(a) == "ResidueSet('n=11:{0,3,4,5,6}')"
+
+
 def test_literal_reduces_mod_n():
     assert parse_residue_set("n=7:{-1,8}").elements() == [1, 6]
 

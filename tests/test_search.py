@@ -468,7 +468,7 @@ def test_stacked_ap_test_against_brute_cover(monkeypatch):
         monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", entries)
         seen = set()
         for p in primes_upto(13):
-            for size, _, rows, _ in search._walk(p, 2, p, p - 2, (0, 1), p, max(1, entries // p)):
+            for size, _, rows, _ in search._walk(p, 2, p, p - 2, (0, 1), p):
                 want = [brute_min_cover(r, p) == size for r in rows.tolist()]
                 assert arithmetic_progressions(rows, p).tolist() == want
                 seen.update(want)
@@ -524,7 +524,7 @@ def test_hunt_walks_once_a_prime(monkeypatch):
     # and tested 38,696, and one walk a size offered 496,426
     walks, offered, tested = [], [], []
     walk, children, canonical = search._walk, search._children, search.affine_canonical_rows
-    monkeypatch.setattr(search, "_walk", lambda *a: walks.append(a[0]) or walk(*a))
+    monkeypatch.setattr(search, "_walk", lambda *a, **kw: walks.append(a[0]) or walk(*a, **kw))
     monkeypatch.setattr(search, "_children", lambda *a: offered.append(int(a[-1].sum())) or children(*a))
     monkeypatch.setattr(search, "affine_canonical_rows", lambda rows, p: tested.append(len(rows)) or canonical(rows, p))
     hunt_conjecture([2, 3, 5, 7])
@@ -539,7 +539,7 @@ def _canonical_leaves(p, k, cap):
     """enumerate_canonical's masks as the unpruned walk and a canonicity
     test on its leaves alone find them."""
     out = []
-    for _, masks, rows, _ in search._walk(p, k, k, p if cap is None else cap, (0, 1)[:k], p, 2**15):
+    for _, masks, rows, _ in search._walk(p, k, k, p if cap is None else cap, (0, 1)[:k], p):
         out += masks[affine_canonical_rows(rows, p)].tolist()
     return out
 

@@ -1,12 +1,16 @@
-"""The benchmark's tracer (perfbench/tracer.py) wraps library functions by
-name, so a rename in the library would otherwise show only as an
-AttributeError in a traced benchmark run."""
+"""The benchmark reads the library by name: its tracer (perfbench/tracer.py)
+wraps library functions by name and its check (perfbench/workloads.py)
+accepts only the engine branches it lists, so a rename in the library would
+otherwise show only in a benchmark run."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def test_every_traced_function_resolves():
@@ -20,6 +24,19 @@ def test_every_traced_function_resolves():
         if not callable(getattr(importlib.import_module(f"addcomb.{module}"), name, None))
     ]
     assert not missing
+
+
+def test_engine_branches_are_benchmark_branches():
+    # the benchmark's check refuses a trace whose branch is outside the
+    # BRANCHES tuple of perfbench/workloads.py, read here without importing it
+    from addcomb.engine import BRANCHES
+
+    assigned = {
+        target.id: node.value
+        for node in ast.parse(WORKLOADS.read_text()).body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    assert BRANCHES <= set(ast.literal_eval(assigned["BRANCHES"]))
 
 
 def test_campaigns_reach_the_traced_rank(monkeypatch):
