@@ -63,6 +63,14 @@ def brute_window_max(elements, p):
     return best
 
 
+def brute_dft_magnitude(elements, p, d):
+    """|sum_{a in A} e^{2 pi i a d / p}|, one complex exponential a member."""
+    import cmath
+    import math
+
+    return abs(sum(cmath.exp(2j * math.pi * (a * d % p) / p) for a in elements))
+
+
 @pytest.fixture
 def rng():
     import random
