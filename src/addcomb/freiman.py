@@ -29,7 +29,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 
 import numpy as np
 
@@ -348,67 +347,63 @@ def _separating_nullspace(elems: list, modulus: int | None):
     return (basis.tolist(), reps) if len(set(zip(*values))) == len(reps) else None
 
 
-def is_rectifiable(a: ResidueSet) -> bool:
-    """Can a be mapped sum-faithfully into Z?
+def _integer_image(a: ResidueSet) -> list[int] | None:
+    """A sum-faithful image of a in Z, one integer per member of
+    a.elements(), or None if there is none.
 
-    Fast path: a unit dilate inside a half interval rectifies immediately.
-    In general a is rectifiable iff no two sum classes take the same value
-    on every point of the required nullspace.
+    Fit route: if half_window_fit finds a unit m whose dilate fits a half
+    window, least start u, the image is x -> (m*x - u) mod n.  Its values
+    lie in [0, (n+1)/2), so no sum of two wraps past n, and m is a unit, so
+    x + y = z + e (mod n) iff the image sums agree.  It lists no pairs.
+
+    Moment-curve route: else, over the basis b_0 .. b_d and class
+    representatives of _separating_nullspace, f = b_0 + t*b_1 + ... +
+    t^d*b_d for the least t >= 1 whose class sums are pairwise distinct.
+    Let spread be the largest max - min of one b_i's class values.  Two
+    classes' value vectors differ by some w != 0 with every |w_i| <=
+    spread; at t = spread + 1 and w_j the last nonzero entry, |w_j| t^j >=
+    t^j > (t - 1)(1 + ... + t^(j-1)) >= |w_0 + ... + w_(j-1) t^(j-1)|, so
+    their sums differ and the loop stops by t = spread + 1.  The image is
+    checked on its own: the pair-sum class tables of a (mod n) and of f,
+    index pair by index pair, must be in bijection (else ConsistencyError).
     """
-    if len(a) <= 1:
-        return True
-    if half_window_fit(a.elements(), a.modulus, half_units(a.modulus)) is not None:
-        return True
-    return _separating_nullspace(a.elements(), a.modulus) is not None
+    elems, n = a.elements(), a.modulus
+    if not elems:
+        return []
+    fit = half_window_fit(elems, n, half_units(n))
+    if fit is not None:
+        m, u = fit
+        return [(m * x - u) % n for x in elems]
+    space = _separating_nullspace(elems, n)
+    if space is None:
+        return None
+    basis, reps = space
+    for t in itertools.count(1):
+        f = [0] * len(elems)
+        for b in reversed(basis):
+            f = [t * x + y for x, y in zip(f, b)]
+        if len({f[i] + f[j] for i, j in reps}) == len(reps):
+            break
+    ta, tb = _class_table(elems, n)[0], _class_table(f, None)[0]
+    classes = ta.max() + 1
+    if tb.max() + 1 != classes or len(np.unique(ta * classes + tb)) != classes:
+        raise ConsistencyError("rectify produced a non-isomorphic image")
+    return f
 
 
-# Coefficient vectors rectify_map may enumerate before it gives up.  The
-# search grows like (2R + 1)^(dim + 1) in the radius R it needs; 2^18
-# vectors take about 1.5 s at |A| = 6 on CPython 3.11 (2-core x86-64).
-RECTIFY_CANDIDATE_BUDGET = 1 << 18
+def is_rectifiable(a: ResidueSet) -> bool:
+    """Can a be mapped sum-faithfully into Z?  (see _integer_image)"""
+    return _integer_image(a) is not None
 
 
 def rectify_map(a: ResidueSet) -> dict[int, int]:
-    """A sum-faithful embedding of a into Z, as residue -> integer.
-
-    Deterministic: integer coefficient vectors over the required-nullspace
-    basis are enumerated in increasing max-norm (then lexicographically)
-    until one separates the sum classes, which exists when a is rectifiable
-    because each pair of distinct class vectors agrees only on a proper
-    subspace.  Past RECTIFY_CANDIDATE_BUDGET vectors the search gives up.
-    The map found is checked on its own: the pair-sum classes of a (mod n)
-    and of the image, index pair by index pair, must be in bijection.
-    """
-    elems = a.elements()
-    k = len(elems)
-    if k == 0:
-        return {}
-    if k == 1:
-        return {elems[0]: 0}
-    space = _separating_nullspace(elems, a.modulus)
-    if space is None:
+    """A sum-faithful embedding of a into Z, residue -> integer: a's first
+    fitting dilate shifted into [0, (n+1)/2), else the least separating
+    point of its nullspace's moment curve (see _integer_image)."""
+    image = _integer_image(a)
+    if image is None:
         raise NotRectifiableError(f"{a.literal()} admits no integer embedding")
-    basis, reps = space
-    columns = list(zip(*basis))
-    enumerated = 0
-    for radius in itertools.count(1):
-        for coeffs in itertools.product(range(-radius, radius + 1), repeat=len(basis)):
-            enumerated += 1
-            if enumerated > RECTIFY_CANDIDATE_BUDGET:
-                raise SearchRangeError(
-                    f"rectifying {a.literal()} takes more than "
-                    f"{RECTIFY_CANDIDATE_BUDGET} coefficient vectors"
-                )
-            if max(map(abs, coeffs)) != radius:
-                continue
-            f = [sum(map(mul, coeffs, col)) for col in columns]
-            if len({f[i] + f[j] for i, j in reps}) < len(reps):
-                continue
-            ta, tb = _class_table(elems, a.modulus)[0], _class_table(f, None)[0]
-            classes = ta.max() + 1
-            if tb.max() + 1 != classes or len(np.unique(ta * classes + tb)) != classes:
-                raise ConsistencyError("rectify produced a non-isomorphic image")
-            return dict(zip(elems, f))
+    return dict(zip(a.elements(), image))
 
 
 def rectify(a: ResidueSet) -> IntSet:
@@ -615,9 +610,10 @@ def projected_dimension_witness(a: IntSet, m: int) -> ProjectionWitness:
     if m <= 1 or a.max() % m != 0:
         raise PreconditionFailedError("m must exceed 1 and divide max(a)")
     proj = ResidueSet.from_elements(m, (x % m for x in a.elements))
-    if not is_rectifiable(proj):
+    image = _integer_image(proj)
+    if image is None:
         return ProjectionWitness(False, None, None)
-    f = rectify_map(proj)
+    f = dict(zip(proj.elements(), image))
     witness = tuple((x, f[x % m]) for x in a.elements)
     dim = additive_dimension_value(a)
     if dim < 2:

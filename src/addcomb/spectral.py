@@ -220,18 +220,6 @@ class RectWindow:
         return {**asdict(self), "captured": self.captured.literal()}
 
 
-def window_capture_counts(a: ResidueSet, d: int) -> np.ndarray:
-    """|[u, u + (p+1)/2) ∩ d*A| for every u (one dilation, all starts): the
-    p-length reference for _best_start."""
-    p = a.modulus
-    w = (p + 1) // 2
-    ind = np.zeros(p)
-    ind[[x * d % p for x in a.elements()]] = 1.0
-    ext = np.concatenate([ind, ind[: w - 1]])
-    cs = np.concatenate([[0.0], np.cumsum(ext)])
-    return (cs[w:] - cs[:p]).astype(np.int64)
-
-
 def _best_start(a: ResidueSet, d: int) -> tuple[int, int]:
     """The most of d * A one half window holds, and the least start u of such
     a window.  Moving the start from u - 1 to u drops u - 1 and takes in

@@ -1,6 +1,7 @@
 """Shared brute-force oracles, deliberately independent of the library's
 bitmask kernels: plain sets and loops only."""
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -61,6 +62,23 @@ def brute_window_max(elements, p):
             if c > best[0]:
                 best = (c, d, u)
     return best
+
+
+def window_capture_counts(a, d):
+    """|[u, u + (p+1)/2) ∩ d*A| for every start u of Z_p, one dilation: the
+    p-length reference for the window search's least best start.  The
+    window slides one start at a time, dropping u and taking in u + w."""
+    p = a.modulus
+    w = (p + 1) // 2
+    member = [0] * p
+    for x in a.elements():
+        member[x * d % p] = 1
+    count = sum(member[:w])
+    counts = []
+    for u in range(p):
+        counts.append(count)
+        count += member[(u + w) % p] - member[u]
+    return np.array(counts)
 
 
 def brute_dft_magnitude(elements, p, d):

@@ -85,19 +85,17 @@ def test_engine_soundness_random(rng):
             continue
         t = prove_cover(a)
         assert t.branch in BRANCHES
-        if t.result is not None:
-            assert t.result.witness.covers(a.elements())
-            bound = len(sumset(a)) - len(a) + 1
-            assert t.result.within_bound == (t.result.length <= bound)
-            # agreement: the pipeline certifies the bound, not minimality
-            assert t.result.length >= min_ap_cover(a).length
-        else:
-            assert t.diagnostic is not None
+        assert t.result is not None  # every exit leaves a verified result
+        assert t.result.witness.covers(a.elements())
+        bound = len(sumset(a)) - len(a) + 1
+        assert t.result.within_bound == (t.result.length <= bound)
+        # agreement: the pipeline certifies the bound, not minimality
+        assert t.result.length >= min_ap_cover(a).length
 
 
 def test_engine_total_on_arbitrary_inputs(rng):
     # no doubling filter at all: dense and structureless sets must still end
-    # in a valid branch with a verified result (or an explicit diagnostic)
+    # in a valid branch with a verified result
     from addcomb.primes import primes_upto
 
     primes = [p for p in primes_upto(199) if p >= 5]
@@ -107,10 +105,8 @@ def test_engine_total_on_arbitrary_inputs(rng):
         a = rs(p, rng.sample(range(p), k))
         t = prove_cover(a)
         assert t.branch in BRANCHES
-        if t.result is None:
-            assert t.diagnostic
-        else:
-            assert t.result.witness.covers(a.elements())
+        assert t.result is not None
+        assert t.result.witness.covers(a.elements())
 
 
 def test_two_segment_partition_and_tests():

@@ -347,12 +347,44 @@ def test_rectify_postcondition():
 
 
 def test_rectify_map_refuses_a_map_that_merges_sum_classes(monkeypatch):
-    # a fake nullspace point f = (0, 1, 1) separates the two listed classes,
-    # but sends 0 + 1 and 0 + 2, distinct mod 11, to the same sum
-    fake = ([[0, 1, 1]], [(0, 0), (0, 1)])
+    # no dilate of {0, 1, 2, 3, 7} fits a half window of Z_11, so the moment
+    # curve runs; a fake nullspace point f = (0, 1, 1, 1, 1) separates the two
+    # listed classes, but sends 0 + 1 and 0 + 2, distinct mod 11, to one sum
+    a = rs(11, [0, 1, 2, 3, 7])
+    assert residues.half_window_fit(a.elements(), 11, residues.half_units(11)) is None
+    fake = ([[0, 1, 1, 1, 1]], [(0, 0), (0, 1)])
     monkeypatch.setattr(freiman, "_separating_nullspace", lambda elems, modulus: fake)
     with pytest.raises(ConsistencyError, match="non-isomorphic"):
-        rectify_map(rs(11, [0, 1, 2]))
+        rectify_map(a)
+
+
+@pytest.mark.parametrize(
+    "n, els, image",
+    [
+        # Sidon sets past the old coefficient search: fit routes, m = 1 and 8
+        (10007, [0, 1, 3, 7, 12, 20], [0, 1, 3, 7, 12, 20]),
+        (39, [0, 8, 15, 33, 34, 37], [16, 2, 19, 7, 15, 0]),
+    ],
+)
+def test_rectify_map_takes_the_first_fitting_dilate(n, els, image):
+    a = rs(n, els)
+    assert rectify_map(a) == dict(zip(els, image))
+    assert is_freiman_isomorphic(a, rectify(a))
+
+
+def test_rectify_map_moment_curve_on_a_set_no_dilate_fits():
+    # 28 seeded residues of Z_10007: no dilate fits, so the image is the
+    # least separating point b_0 + t b_1 + ... of the nullspace's moment curve
+    els = random.Random(28).sample(range(10007), 28)
+    a = rs(10007, els)
+    assert residues.half_window_fit(a.elements(), 10007, residues.half_units(10007)) is None
+    assert is_rectifiable(a)
+    f = rectify_map(a)
+    sums = {}
+    for x, y in combinations_with_replacement(sorted(els), 2):
+        sums.setdefault((x + y) % 10007, set()).add(f[x] + f[y])
+    assert all(len(v) == 1 for v in sums.values())
+    assert len(set.union(*sums.values())) == len(sums)
 
 
 def test_rectify_whole_interval():
@@ -399,13 +431,14 @@ def test_row_budget_boundary(monkeypatch):
         (additive_dimension, ints),
         (additive_dimension_value, ints),
         (required_spanning_rows, ints),
-        (rectify_map, residues),
+        (rectify_map, unfit),
         (is_rectifiable, unfit),
         (additive_dimensions, stack),
     ):
         with pytest.raises(SearchRangeError, match="5 required rows of 5 entries"):
             call(arg)
-    assert is_rectifiable(residues)  # the half-window fast path builds no rows
+    # the half-window fit builds no rows
+    assert is_rectifiable(residues) and len(rectify(residues)) == 5
     with pytest.raises(PreconditionFailedError) as err:  # size, with no rows
         two_lines_cover(ints)
     assert str(err.value) == "|A| = 5 < 11; 3|2A| = 30 > 10|A| - 21 = 29"
@@ -422,11 +455,13 @@ def test_pair_budget_boundary(monkeypatch):
         (additive_dimension_value, (six,)),
         (required_spanning_rows, (six,)),
         (is_freiman_isomorphic, (six, six)),
-        (rectify_map, (rs(101, six.elements),)),
+        (rectify_map, (rs(13, [0, 1, 2, 4, 7, 9]),)),
         (is_rectifiable, (rs(13, [0, 1, 2, 4, 7, 9]),)),
     ):
         with pytest.raises(SearchRangeError, match="6 elements make 21 index pairs"):
             call(*args)
+    # a fitting dilate lists no pairs
+    assert sorted(rectify_map(rs(101, six.elements)).values()) == list(six.elements)
 
 
 def test_campaigns_stay_within_row_budget(monkeypatch):

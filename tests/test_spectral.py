@@ -17,9 +17,8 @@ from addcomb.spectral import (
     largest_coefficient,
     spectrum,
     transform_magnitude,
-    window_capture_counts,
 )
-from conftest import brute_dft_magnitude, brute_window_max
+from conftest import brute_dft_magnitude, brute_window_max, window_capture_counts
 
 
 def rs(n, els):
