@@ -7,18 +7,42 @@ residues.dilation_gaps computes that run for a chunk of rows at a time
 agree and only m <= (p-1)/2 is swept; the witness, smallest step
 min(1/m, p - 1/m) then smallest start, is recovered for the winning step.
 
-A set of at least residues.SAMPLE_MIN_SIZE members is first swept through
-a sample S of residues.SAMPLE_SIZE of them (_longest_runs), keeping S's
-longest run at every m, and then A itself at the m where that run is
-longest.  The rest of the sweep visits, in ascending order, only the m where
-S's run reaches A's run there.  That is exact: S lies inside A, so every
-residue missing from m * A is missing from m * S, every missing run of
-m * A lies inside one of m * S, and S's longest run bounds A's from above
-at every m.  A's run at any one m bounds the answer from below, so an m
-where S's run falls short of it can neither beat nor tie the answer, and
-skipping it changes neither the run nor the tied multipliers.  On a
+_longest_runs finds that run, and every m attaining it, by one of three
+routes.  Each skips only multipliers that can neither beat nor tie the
+answer, so all three return the same run and the same tied multipliers.
+
+Candidate multipliers (prime p, when the plain sweep would span more than
+one chunk and 4L < p for an upper bound L >= ell(A)).  If an AP of length
+ell covers A at step 1/m, then m * A lies in ell consecutive residues, so
+the centred residue of m * delta has absolute value at most ell - 1 for
+every difference delta of two members.  Fix one such delta_1: every m
+attaining the longest run has m * delta_1 = j with 0 < |j| < L, so it is
+the fold to m <= p/2 of j / delta_1 for some 1 <= j < L (j and -j fold
+alike, and 2L < p makes these L - 1 folds distinct).  The candidates that
+also pass the same test for a few more consecutive differences are sorted
+in full; every optimal m is among them, so their longest run and its tied
+multipliers are the answer.  L is a guess that starts at 2|A| and doubles,
+and certifies itself: if the best candidate's AP has length at most L,
+then ell(A) <= L and every optimal m was a candidate.  The next guess is
+also at most that AP's length, so the best multiplier found so far is
+always a candidate again; a guess that did not grow could only mean a lost
+candidate, and hands over to the sweeps below rather than repeat.
+
+Sample-bounded sweep (a set of at least residues.SAMPLE_MIN_SIZE members).
+A sample S of residues.SAMPLE_SIZE members is swept first, keeping S's
+longest run at every m, and A itself only at the m where S's run reaches a
+floor: the largest of A's run at S's best m, at the caller's unit d (the
+engine passes its window's frequency), and at the best candidate of a
+guess that failed.  That is exact: S lies inside A, so every residue
+missing from m * A is missing from m * S, every missing run of m * A lies
+inside one of m * S, and S's longest run bounds A's from above at every
+m.  A's run at any one m bounds the answer from below, so an m where S's
+run falls short of the floor can neither beat nor tie the answer.  On a
 near-progression S's run is long only near the one step that matters, and
 A is sorted at a handful of the p/2 multipliers.
+
+Plain sweep: every unit m <= p/2, for a set of fewer than
+residues.SAMPLE_MIN_SIZE members that the candidates do not settle.
 """
 
 from __future__ import annotations
@@ -35,7 +59,7 @@ from .errors import (
     PrimeRequiredError,
 )
 from .intsets import ApDescriptor
-from .primes import divisors
+from .primes import divisors, is_prime
 from .residues import ResidueSet, dilation_gaps, half_units, sumset
 
 
@@ -52,16 +76,60 @@ class CoverResult:
         return {**asdict(self), "witness": witness}
 
 
-def _longest_runs(els: list[int], n: int) -> tuple[int, list[int]]:
+def _longest_runs(els: list[int], n: int, d: int | None = None) -> tuple[int, list[int]]:
     """The longest circular run of residues missing from m * els over the
-    units m <= (n-1)/2 (nonempty els), and every m attaining it; bounded
-    by residues.sweep_sample as the module docstring sets out."""
+    units m <= (n-1)/2 (nonempty els of distinct residues), and every m
+    attaining it, ascending; by the route the module docstring sets out.
+    d, a unit of Z_n or None, floors the sample sweep."""
+    k = len(els)
+    floor = -1
+    if k > 1 and k * (n // 2) > residues.CANONICAL_STEP_ENTRIES and is_prime(n):
+        bound = 2 * k
+        while 4 * bound < n:
+            run, ms_at_run = _runs_over(els, n, _candidates(els, n, bound))
+            if n - run <= bound:
+                return run, ms_at_run
+            floor = max(floor, run)
+            if n - floor <= bound:
+                break  # a lost candidate: sweep rather than stall
+            bound = min(2 * bound, n - floor)
     units = half_units(n)
     sample = residues.sweep_sample(els)
     if sample is not None:
         runs = np.concatenate([gaps for _, gaps, _ in dilation_gaps(sample, n, units)])
-        _, floor, _ = next(dilation_gaps(els, n, units[runs.argmax(), None]))
+        floor = max(floor, _run_at(els, n, units[runs.argmax()]))
+        if d is not None:
+            floor = max(floor, _run_at(els, n, d))
         units = units[runs >= floor]
+    return _runs_over(els, n, units)
+
+
+# consecutive differences, after the first, that filter the candidates
+CANDIDATE_FILTERS = 8
+
+
+def _candidates(els: list[int], p: int, bound: int) -> np.ndarray:
+    """The units m <= p/2, ascending, at which m * delta has centred residue
+    below bound in absolute value for each of the first CANDIDATE_FILTERS + 1
+    consecutive differences delta of els: the folds of j / delta_1 for
+    1 <= j < bound, filtered by the rest (2 * bound < p)."""
+    deltas = np.diff(np.asarray(els[: CANDIDATE_FILTERS + 2], dtype=np.int64))
+    ms = np.arange(1, bound, dtype=np.int64) * pow(int(deltas[0]), -1, p) % p
+    ms = np.minimum(ms, p - ms)
+    for delta in deltas[1:].tolist():
+        r = ms * delta % p
+        ms = ms[np.minimum(r, p - r) < bound]
+    return np.sort(ms)
+
+
+def _run_at(els: list[int], n: int, m: int) -> int:
+    """The longest circular run of residues missing from m * els."""
+    return int(next(dilation_gaps(els, n, [m]))[1][0])
+
+
+def _runs_over(els: list[int], n: int, units) -> tuple[int, list[int]]:
+    """The longest run missing from m * els over the given m, ascending, and
+    every m attaining it; (-1, []) for none."""
     run, ms_at_run = -1, []
     for ms, gaps, _ in dilation_gaps(els, n, units):
         top = int(gaps.max())
@@ -104,8 +172,9 @@ def min_ap_cover(a: ResidueSet) -> CoverResult:
     return _min_ap_cover(a, len(sumset(a)))
 
 
-def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
-    """min_ap_cover for a caller that already has |2A|."""
+def _min_ap_cover(a: ResidueSet, sumset_size: int, d: int | None = None) -> CoverResult:
+    """min_ap_cover for a caller that already has |2A|, and perhaps a unit
+    d whose dilate of A is short (_longest_runs)."""
     p = a.modulus
     k = len(a)
     bound = sumset_size - k + 1
@@ -113,7 +182,7 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int) -> CoverResult:
         witness = ApDescriptor(0, 1, p, ambient=p)
         return CoverResult(p, witness, bound, p <= bound)
     els = a.elements()
-    run, best = _longest_runs(els, p)
+    run, best = _longest_runs(els, p, d)
     step = min(min(inv, p - inv) for inv in (pow(m, -1, p) for m in best))
     inv = pow(step, -1, p)
     row = sorted(x * inv % p for x in els)

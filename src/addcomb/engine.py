@@ -197,7 +197,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     if reason is not None:
         trace.branch = BRANCH_FALLBACK
         trace.annotations["fallback_reason"] = reason
-        trace.result = _min_ap_cover(a, len(two_a))
+        trace.result = _min_ap_cover(a, len(two_a), window.d)
     _verify(trace, a, two_a)
     return trace
 

@@ -386,7 +386,8 @@ def _integer_image(a: ResidueSet) -> list[int] | None:
             break
     ta, tb = _class_table(elems, n)[0], _class_table(f, None)[0]
     classes = ta.max() + 1
-    if tb.max() + 1 != classes or len(np.unique(ta * classes + tb)) != classes:
+    pairs = np.sort((ta * classes + tb).ravel())
+    if tb.max() + 1 != classes or np.count_nonzero(pairs[1:] != pairs[:-1]) + 1 != classes:
         raise ConsistencyError("rectify produced a non-isomorphic image")
     return f
 

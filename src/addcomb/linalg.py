@@ -154,7 +154,9 @@ def nullspace(rows, ncols: int) -> np.ndarray:
     the free-variable basis of the reduced row echelon form, divided by its
     gcd and signed so its free entry is positive."""
     pivots, reduced, d = echelon(rows, ncols)
-    free = np.setdiff1d(np.arange(ncols), pivots)
+    is_free = np.ones(ncols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((len(free), ncols), dtype=reduced.dtype)
     basis[np.arange(len(free)), free] = d
     basis[:, pivots] = -reduced[:, free].T

@@ -273,6 +273,30 @@ def test_rectify_sidon_sets_and_random_residues_exit_0_quickly(capsys):
     assert (code, err) == (0, "") and len(out.split(",")) == 120
 
 
+def test_cover_of_a_sparse_near_progression_at_the_cap_exits_0_quickly(capsys):
+    import random
+    import time
+
+    # 120 of the 150 terms of a progression of Z_4194301, both ends among
+    # them: the paper's regime of |A| tiny next to p
+    rng = random.Random(4194301)
+    p, length = 4_194_301, 150
+    start, step = rng.randrange(p), rng.randrange(1, p)
+    terms = [0, length - 1, *rng.sample(range(1, length - 1), 118)]
+    els = sorted((start + i * step) % p for i in terms)
+    started = time.monotonic()
+    code, out, err = invoke(capsys, "cover", f"n={p}:{{" + ",".join(map(str, els)) + "}", "--json")
+    assert time.monotonic() - started < 5.0
+    assert (code, err) == (0, "")
+    res = json.loads(out)
+    # brute force at the progression's step: the longest missing run of
+    # (1/step) * A leaves exactly its length
+    row = sorted(x * pow(step, -1, p) % p for x in els)
+    run = max((b - a - 1) % p for a, b in zip(row[-1:] + row[:-1], row))
+    assert res["length"] == p - run == length
+    assert res["witness"]["step"] in (step, p - step)
+
+
 def test_dim_and_rectify_past_row_budget_exit_1_quickly(capsys):
     import random
     import time

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,6 +51,45 @@ def test_elements_of_and_dilate_mask_against_loops(rng):
             d = rng.randrange(1, n + 1)
             dilated = {e * d % n for e in els}
             assert bits.dilate_mask(mask, d, n) == sum(1 << x for x in dilated)
+
+
+def packbits_mask(els, n):
+    on = np.zeros(max(n, 1), dtype=bool)
+    on[[e % n for e in els]] = True
+    return int.from_bytes(np.packbits(on, bitorder="little").tobytes(), "little")
+
+
+def test_mask_of_and_elements_of_both_sides_of_the_sparse_rule(rng):
+    # elements_of unpacks only the nonzero words of a mask longer than
+    # SPARSE_MIN_BITS with fewer members than 64-bit words
+    edges = (bits.SPARSE_MIN_BITS, bits.SPARSE_MIN_BITS + 1)
+    for n in (1, 7, 64, 65, 1009, *edges, 65537, 1 << 22):
+        words = (n + 63) // 64
+        sizes = {0, 1, 16, words - 1, words, words + 1, n // 3, n}
+        for size in sorted(x for x in sizes if 0 <= x <= min(n, 70_000)):
+            els = sorted(rng.sample(range(n), size))
+            mask = bits.mask_of(els, n)
+            assert mask == packbits_mask(els, n)
+            assert bits.elements_of(mask) == els
+            # negative values, values past n and past int64 reduce mod n
+            shifted = [e - n * rng.randrange(-3, 4) for e in els] + [n * 10**30 + e for e in els[:3]]
+            assert bits.mask_of(shifted, n) == mask
+        for lone in {0, n - 1, n // 2}:
+            assert bits.elements_of(1 << lone) == [lone]
+            assert bits.mask_of([lone - n] * 16, n) == 1 << lone
+        full = bits.full_mask(n)
+        assert bits.elements_of(full) == list(range(n))
+        assert bits.mask_of(range(n), n) == full
+    assert bits.elements_of(0) == [] and bits.mask_of([], 5) == 0
+    # a sparse mask whose members share words and bytes, either side of
+    # the length rule
+    for n in (bits.SPARSE_MIN_BITS, bits.SPARSE_MIN_BITS + 2, 1 << 22):
+        els = [0, 1, 7, 8, 63, 64, 65, 1000, 1007, n - 2, n - 1]
+        assert bits.elements_of(bits.mask_of(els, n)) == els
+    big = 10**30
+    for n in (1009, 1 << 22):
+        want = 1 << big % n | 1 << n - 1
+        assert bits.mask_of([big, -1], n) == bits.mask_of([big, -1] * 16, n) == want
 
 
 # --- literals ---------------------------------------------------------------

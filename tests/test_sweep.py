@@ -2,6 +2,7 @@
 test, the half-window fit, the half-window search and its memory bound,
 checked against brute-force oracles and their tie-breaks."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -474,7 +475,7 @@ def test_lying_sweeps_raise_consistency_error(monkeypatch, rng):
     wrong = next(m for m in range(1, p // 2 + 1) if m not in ms)
     for lie in ((run + 1, ms), (run, [wrong])):
         with monkeypatch.context() as patched:
-            patched.setattr(covering, "_longest_runs", lambda els, n: lie)
+            patched.setattr(covering, "_longest_runs", lambda els, n, d=None: lie)
             with pytest.raises(ConsistencyError, match="witness"):
                 min_ap_cover(a)
     d, u = half_window_fit(a.elements(), p, half_units(p))
@@ -484,3 +485,178 @@ def test_lying_sweeps_raise_consistency_error(monkeypatch, rng):
             patched.setattr(spectral, "half_window_fit", lambda *args: lie)
             with pytest.raises(ConsistencyError, match="captures"):
                 best_half_window(a)
+
+
+# --- candidate multipliers: sets whose plain sweep spans several chunks
+
+
+def count_candidate_calls(monkeypatch):
+    """Patch covering._candidates to record the bound of each call."""
+    bounds = []
+    candidates = covering._candidates
+
+    def counting(els, p, bound):
+        bounds.append(bound)
+        return candidates(els, p, bound)
+
+    monkeypatch.setattr(covering, "_candidates", counting)
+    return bounds
+
+
+def no_candidates(*args):
+    raise AssertionError("candidate route taken")
+
+
+def test_candidate_route_matches_brute(monkeypatch, rng):
+    bounds = count_candidate_calls(monkeypatch)
+    for p in (4001, 8011, 16411):
+        k = rng.randrange(20, 40)
+        near = progression(rng, p, k, int(1.25 * k))
+        # the doubling bound: 2k covers a near-AP at once; a progression
+        # of length 3k needs 4k, and one of length 6k needs 8k
+        for els, tries in ((near, 1), (progression(rng, p, k, 3 * k), 2),
+                           (progression(rng, p, k, 6 * k), 3)):
+            want = brute_runs(els, p)
+            bounds.clear()
+            assert _longest_runs(els, p) == want
+            assert 0 < len(bounds) <= tries and 4 * bounds[-1] < p
+            assert p - want[0] <= bounds[-1]
+            # the engine's d floors only the sample sweep: the route tries
+            # the same guesses with it or without it
+            tried = bounds[:]
+            for d in (want[1][0], rng.randrange(1, p)):
+                bounds.clear()
+                assert _longest_runs(els, p, d) == want and bounds == tried
+
+
+def test_candidate_route_keeps_every_tied_multiplier(monkeypatch):
+    # the box {i + h j : 0 <= i, j < 5} of Z_p, p = h^2 + 1: h maps it to
+    # {h i - j}, so m = 1 and m = h sort it alike, and neither is the
+    # first candidate the doubling bound tries
+    bounds = count_candidate_calls(monkeypatch)
+    for h in (66, 126):
+        p = h * h + 1
+        els = sorted((i + h * j) % p for i in range(5) for j in range(5))
+        want = brute_runs(els, p)
+        assert {1, h} <= set(want[1])
+        bounds.clear()
+        assert _longest_runs(els, p) == want and len(bounds) > 1
+        assert _longest_runs(els, p, h) == want
+
+
+def test_floored_sample_sweep_and_plain_sweep_match_brute(monkeypatch, rng):
+    # a set too long for the route: ell >= p/4 for every guess, so the
+    # sample sweep (128 members or more) or the plain sweep runs, floored
+    # at A's run at d
+    bounds = count_candidate_calls(monkeypatch)
+    for p in (2003, 4001):
+        for els in (progression(rng, p, 200, p // 3), rng.sample(range(p), 150),
+                    progression(rng, p, 60, p // 3), rng.sample(range(p), 40)):
+            want = brute_runs(els, p)
+            for d in (None, want[1][0], rng.randrange(1, p)):
+                bounds.clear()
+                assert _longest_runs(els, p, d) == want
+                assert all(4 * b < p for b in bounds)
+
+
+def test_floor_at_d_skips_multipliers_the_sample_admits(monkeypatch, rng):
+    # 150 random residues: A's run at the sample's best multiplier is a
+    # lower floor than A's run at the best one, so it admits more rows
+    p = 2003
+    els = sorted(rng.sample(range(p), 150))
+    want = brute_runs(els, p)
+    monkeypatch.setattr(covering, "_candidates", no_candidates)
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 200 * p)  # no route
+    sorted_rows = {}
+    rows = residues.dilation_rows
+
+    def counting(elements, n, multipliers):
+        for ms, chunk in rows(elements, n, multipliers):
+            if chunk.shape[1] == len(els):
+                sorted_rows[key] = sorted_rows.get(key, 0) + len(ms)
+            yield ms, chunk
+
+    monkeypatch.setattr(residues, "dilation_rows", counting)
+    for key, d in (("sample", None), ("floored", want[1][0])):
+        assert _longest_runs(els, p, d) == want
+    assert sorted_rows["floored"] < sorted_rows["sample"]
+
+
+def test_sweeps_exhaustive_candidate_route(monkeypatch):
+    # one row a chunk: every set of two or more members is eligible, and
+    # takes the route when 4L < p for its first guess L = 2|A|
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 1)
+    test_sweeps_exhaustive_tiny_primes()
+    bounds = count_candidate_calls(monkeypatch)
+    # every set of 2 or 3 members of Z_29 and of Z_37
+    for p, sizes in ((29, (2, 3)), (37, (2, 3))):
+        for k in sizes:
+            for els in itertools.combinations(range(p), k):
+                assert _longest_runs(list(els), p) == brute_runs(els, p)
+    assert len(bounds) >= 4060 + 8436  # every one of them took the route
+    # the sample sweep floored at d: every set of Z_11 at every d, sampled
+    # from 4 members up
+    monkeypatch.setattr(residues, "SAMPLE_SIZE", 2)
+    monkeypatch.setattr(residues, "SAMPLE_MIN_SIZE", 4)
+    for mask in range(1, 1 << 11):
+        els = bits.elements_of(mask)
+        want = brute_runs(els, 11)
+        for d in half_units(11).tolist():
+            assert _longest_runs(els, 11, d) == want
+
+
+def test_candidate_route_leaves_a_stalled_guess_for_the_sweep(monkeypatch):
+    # 19 consecutive residues and one at 50: ell = 51 at m = 1, past the
+    # first guess 40, so the second guess is 51.  A candidate list that
+    # then loses m = 1 cannot raise the guess; the plain sweep answers.
+    p = 16411
+    els = list(range(19)) + [50]
+    want = brute_runs(els, p)
+    assert want == (p - 51, [1])
+    candidates = covering._candidates
+    bounds = []
+
+    def losing(els, p, bound):
+        bounds.append(bound)
+        assert len(bounds) < 10, "the guess stalled"
+        ms = candidates(els, p, bound)
+        return ms if len(bounds) == 1 else ms[ms != 1]
+
+    monkeypatch.setattr(covering, "_candidates", losing)
+    assert _longest_runs(els, p) == want
+    assert bounds == [40, 51]
+
+
+def test_candidate_route_sorts_few_rows(monkeypatch, rng):
+    # a 20-member near-AP of Z_16411: A is sorted at no more than 64 of the
+    # 8,205 multipliers
+    p = 16411
+    els = progression(rng, p, 20, 25)
+    full_rows = []
+    rows = residues.dilation_rows
+
+    def counting(elements, n, multipliers):
+        for ms, chunk in rows(elements, n, multipliers):
+            if chunk.shape[1] == len(els):
+                full_rows.append(len(ms))
+            yield ms, chunk
+
+    monkeypatch.setattr(residues, "dilation_rows", counting)
+    res = min_ap_cover(rs(p, els))
+    assert res.length == p - brute_runs(els, p)[0]
+    assert res.witness.covers(els) and 0 < sum(full_rows) <= 64
+
+
+def test_one_chunk_sweeps_and_composite_moduli_skip_the_route(monkeypatch, rng):
+    monkeypatch.setattr(covering, "_candidates", no_candidates)
+    # 30 members times 1,001 multipliers fit one chunk of 2^15 entries
+    p = 2003
+    els = progression(rng, p, 30, 37)
+    assert 30 * (p // 2) <= CANONICAL_STEP_ENTRIES
+    assert _longest_runs(els, p) == _longest_runs(els, p, 1) == brute_runs(els, p)
+    assert min_ap_cover(rs(p, els)).witness.covers(els)
+    # a composite modulus sweeps every unit, whatever its size
+    n = 16400
+    els = sorted({(7 + 3 * i) % n for i in rng.sample(range(25), 20)})
+    assert _longest_runs(els, n) == brute_runs(els, n)
+    assert min_ap_length_mod(bits.mask_of(els, n), n) == n - brute_runs(els, n)[0]
