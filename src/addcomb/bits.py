@@ -55,7 +55,3 @@ def rotate(mask: int, r: int, n: int) -> int:
     if r == 0:
         return mask
     return ((mask << r) | (mask >> (n - r))) & full_mask(n)
-
-
-def dilate_mask(mask: int, d: int, n: int) -> int:
-    return mask_of((e * d for e in elements_of(mask)), n)

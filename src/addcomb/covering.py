@@ -181,7 +181,7 @@ def _min_ap_cover(a: ResidueSet, sumset_size: int, d: int | None = None) -> Cove
     if k == p:
         witness = ApDescriptor(0, 1, p, ambient=p)
         return CoverResult(p, witness, bound, p <= bound)
-    els = a.elements()
+    els = a.members
     run, best = _longest_runs(els, p, d)
     step = min(min(inv, p - inv) for inv in (pow(m, -1, p) for m in best))
     inv = pow(step, -1, p)

@@ -66,7 +66,7 @@ class AffineResidueMap:
         return (self.scale * x + self.shift) % self.p
 
     def apply_set(self, a: ResidueSet) -> ResidueSet:
-        return ResidueSet.from_elements(self.p, (self(x) for x in a.elements()))
+        return ResidueSet.from_elements(self.p, (self(x) for x in a.members))
 
     def then(self, scale: int, shift: int = 0) -> "AffineResidueMap":
         return AffineResidueMap(
@@ -121,16 +121,16 @@ class EngineTrace:
         }
 
 
-def _rectified_ints(mask: int, p: int, start: int) -> IntSet:
+def _rectified_ints(image: ResidueSet, start: int) -> IntSet:
     """Integer representatives of a set lying in [start, start + (p+1)/2)."""
-    return IntSet.from_iterable((x - start) % p for x in bits.elements_of(mask))
+    return IntSet.from_iterable((x - start) % image.modulus for x in image.members)
 
 
 def _finish_by_rectifying(
     trace: EngineTrace,
     a: ResidueSet,
     to_norm: AffineResidueMap,
-    bound: int,
+    sumset_size: int,
     branch: str,
     dilation: int,
 ) -> bool:
@@ -138,25 +138,26 @@ def _finish_by_rectifying(
     cover it there (_cover_in_window).  Returns False (leaving the trace
     untouched except annotations) if any measured hypothesis fails."""
     image = to_norm.apply_set(a)
-    fit = half_window_fit(image.elements(), a.modulus, [1])
+    fit = half_window_fit(image.members, a.modulus, [1])
     trace.annotations[f"{branch}_window_fit"] = fit is not None
     return fit is not None and _cover_in_window(
-        trace, a, to_norm, image.mask, fit[1], bound, branch, dilation
+        trace, a, to_norm, _rectified_ints(image, fit[1]), fit[1], sumset_size, branch, dilation
     )
 
 
 def _cover_in_window(
-    trace: EngineTrace, a: ResidueSet, to_norm: AffineResidueMap, image: int, v: int,
-    bound: int, branch: str, dilation: int,
+    trace: EngineTrace, a: ResidueSet, to_norm: AffineResidueMap, ints: IntSet, v: int,
+    sumset_size: int, branch: str, dilation: int,
 ) -> bool:
-    """Rectify the image mask of A under to_norm, which lies in
-    [v, v + (p+1)/2), run the 3k-4 covering, then pull the progression
-    back.  Returns False (noting it in the annotations) if the 3k-4
-    hypothesis fails."""
+    """Run the 3k-4 covering on ints, the image of A under to_norm, which
+    lies in [v, v + (p+1)/2), moved to [0, (p+1)/2); then pull the
+    progression back.  Returns False (noting it in the annotations) if the
+    3k-4 hypothesis fails.  The image is A under an affine bijection, and no
+    sum of two of ints reaches p, so their sumset has |2A| = sumset_size
+    members."""
     p = a.modulus
-    ints = _rectified_ints(image, p, v)
     try:
-        ap = cover_3k4(ints)
+        ap = cover_3k4(ints, sumset_size)
     except HypothesisNotMetError:
         trace.annotations[f"{branch}_3k4_hypothesis"] = False
         return False
@@ -165,7 +166,7 @@ def _cover_in_window(
     witness = to_norm.pull_back_ap(norm_start, ap.step % p, ap.length)
     trace.branch = branch
     trace.dilation_used = dilation
-    trace.result = CoverResult(ap.length, witness, bound, True)
+    trace.result = CoverResult(ap.length, witness, sumset_size - len(a) + 1, True)
     return True
 
 
@@ -193,7 +194,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     # informational only: holds under the density hypothesis, never gated on
     trace.annotations["capture_above_0.8175"] = len(window) > 0.8175 * k
 
-    reason = _route(trace, a, len(two_a) - k + 1)
+    reason = _route(trace, a, len(two_a))
     if reason is not None:
         trace.branch = BRANCH_FALLBACK
         trace.annotations["fallback_reason"] = reason
@@ -202,7 +203,7 @@ def prove_cover(a: ResidueSet) -> EngineTrace:
     return trace
 
 
-def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
+def _route(trace: EngineTrace, a: ResidueSet, sumset_size: int) -> str | None:
     """Take the branch the window calls for: finish the trace with that
     branch's cover and return None, or return why the query falls back."""
     p, k, window = a.modulus, len(a), trace.window
@@ -212,12 +213,12 @@ def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
         # base_map sends A onto the capture moved to start at 0: it lies in
         # [0, (p+1)/2) by construction
         trace.annotations[f"{BRANCH_WHOLE}_window_fit"] = True
-        image = bits.rotate(window.captured.mask, -window.u, p)
-        if _cover_in_window(trace, a, base_map, image, 0, bound, BRANCH_WHOLE, 1):
+        ints = IntSet.from_iterable(map(base_map, a.members))
+        if _cover_in_window(trace, a, base_map, ints, 0, sumset_size, BRANCH_WHOLE, 1):
             return None
         return "whole-set 3k-4 hypothesis failed"
 
-    a1_ints = _rectified_ints(window.captured.mask, p, window.u)
+    a1_ints = _rectified_ints(window.captured, window.u)
     two_a1 = int_sumset(a1_ints)
     k1 = len(a1_ints)
     trace.a1_doubling_ok = 100 * len(two_a1) <= 304 * k1 - 700
@@ -239,7 +240,7 @@ def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
         # bring the far half next to the near half
         g_inv = pow(ap1.step % p, -1, p)
         norm = base_map.then(g_inv, -g_inv * ap1.start % p)
-        if _finish_by_rectifying(trace, a, norm.then(2), bound, BRANCH_CASE1, 2):
+        if _finish_by_rectifying(trace, a, norm.then(2), sumset_size, BRANCH_CASE1, 2):
             return None
         return "case-1 re-dilation did not rectify"
 
@@ -289,7 +290,7 @@ def _route(trace: EngineTrace, a: ResidueSet, bound: int) -> str | None:
         (analysis.test_iii, 3, BRANCH_CASE2_III),
     ):
         if fired:
-            if _finish_by_rectifying(trace, a, norm.then(dil), bound, branch, dil):
+            if _finish_by_rectifying(trace, a, norm.then(dil), sumset_size, branch, dil):
                 return None
             return f"dilation by {dil} did not pull A into one window"
     return "no subcase intersection fired"
@@ -339,7 +340,7 @@ def two_segment_analysis(
 def _verify(trace: EngineTrace, a: ResidueSet, two_a: ResidueSet) -> None:
     """Independent re-check of every returned cover (soundness gate)."""
     res = trace.result
-    if not res.witness.covers(a.elements()):
+    if not res.witness.covers(a.members):
         raise ConsistencyError("engine witness does not cover the input")
     bound = len(two_a) - len(a) + 1
     if res.within_bound and res.length > bound:

@@ -151,7 +151,7 @@ def min_cover_ap(a: IntSet) -> ApDescriptor:
     return ApDescriptor(start=shift, step=scale, length=min_interval_cover(a))
 
 
-def cover_3k4(a: IntSet) -> ApDescriptor:
+def cover_3k4(a: IntSet, sumset_size: int | None = None) -> ApDescriptor:
     """Freiman 3k-4 covering: for |2A| <= 3|A| - 4, an AP containing A of
     length at most |2A| - |A| + 1.
 
@@ -159,8 +159,9 @@ def cover_3k4(a: IntSet) -> ApDescriptor:
     would falsify the theorem and raises ConsistencyError.  The hypothesis is
     applied literally, so singletons and pairs are rejected even though they
     are trivially coverable — min_interval_cover serves the general question.
+    A caller that knows |2A| passes it as sumset_size; no sumset is built.
     """
-    two_a = _sumset_mask(a).bit_count()
+    two_a = _sumset_mask(a).bit_count() if sumset_size is None else sumset_size
     k = len(a)
     if two_a > 3 * k - 4:
         raise HypothesisNotMetError(f"|2A| = {two_a} > 3|A| - 4 = {3 * k - 4}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -62,7 +62,9 @@ SAMPLE_MIN_SIZE = 128
 
 @dataclass(frozen=True, order=True)
 class ResidueSet:
-    """A subset of Z_n.  `mask` bit i is set iff i is a member."""
+    """A subset of Z_n.  `mask` bit i is set iff i is a member.  `members`,
+    the sorted tuple unpacked on first read, is kept outside the fields:
+    ==, hash, order, repr and pickle see the modulus and the mask alone."""
 
     modulus: int
     mask: int
@@ -81,8 +83,15 @@ class ResidueSet:
     def prime_modulus(self) -> bool:
         return is_prime(self.modulus)
 
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(bits.elements_of(self.mask))
+
     def elements(self) -> list[int]:
-        return bits.elements_of(self.mask)
+        return list(self.members)
+
+    def __getstate__(self):
+        return {"modulus": self.modulus, "mask": self.mask}
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -91,10 +100,10 @@ class ResidueSet:
         return bool(self.mask >> (x % self.modulus) & 1)
 
     def __iter__(self):
-        return iter(self.elements())
+        return iter(self.members)
 
     def literal(self) -> str:
-        body = ",".join(str(e) for e in self.elements())
+        body = ",".join(str(e) for e in self.members)
         return f"n={self.modulus}:{{{body}}}"
 
     def __repr__(self) -> str:
@@ -112,13 +121,14 @@ class CosetProfile:
     heaviest_coset_count: int = field(default=0)
 
 
-def cross_sum_mask(m1: int, m2: int, n: int) -> int:
+def cross_sum_mask(m1: int, m2: int, n: int, members=None) -> int:
     """A + B mod n for bitmasks A, B: one shift of the larger set per member
-    of the smaller, then a single fold of the bits past n."""
-    if m1.bit_count() > m2.bit_count():
+    of the smaller (m1's `members`, if the caller has them unpacked), then a
+    single fold of the bits past n."""
+    if members is None and m1.bit_count() > m2.bit_count():
         m1, m2 = m2, m1
     out = 0
-    for e in bits.elements_of(m1):
+    for e in bits.elements_of(m1) if members is None else members:
         out |= m2 << e
     return (out | out >> n) & bits.full_mask(n)
 
@@ -132,17 +142,17 @@ def _sumset_mask_convolution(mask: int, n: int) -> int:
     return int.from_bytes(np.packbits(hit, bitorder="little").tobytes(), "little")
 
 
-def sumset_mask(mask: int, n: int) -> int:
+def sumset_mask(mask: int, n: int, members=None) -> int:
     if mask.bit_count() > CONVOLUTION_MIN_SIZE:
         return _sumset_mask_convolution(mask, n)
-    return cross_sum_mask(mask, mask, n)
+    return cross_sum_mask(mask, mask, n, members)
 
 
 def sumset(a: ResidueSet) -> ResidueSet:
     """A + A = {x + y mod n : x, y in A}, x = y allowed."""
     if len(a) == 0:
         raise EmptySetError("sumset of the empty set")
-    return ResidueSet(a.modulus, sumset_mask(a.mask, a.modulus))
+    return ResidueSet(a.modulus, sumset_mask(a.mask, a.modulus, a.members))
 
 
 def dilate(a: ResidueSet, d: int) -> ResidueSet:
@@ -151,7 +161,7 @@ def dilate(a: ResidueSet, d: int) -> ResidueSet:
     d %= n
     if gcd(d, n) != 1:
         raise NonUnitDilationError(f"gcd({d}, {n}) != 1")
-    return ResidueSet(n, bits.dilate_mask(a.mask, d, n))
+    return ResidueSet.from_elements(n, [e * d for e in a.members])
 
 
 def half_units(n: int) -> np.ndarray:
@@ -182,10 +192,11 @@ def dilation_gaps(elements, n: int, multipliers):
     (n - 1 for a singleton) and the smallest member right after such a run;
     for a stack of sets, one of each per row of dilation_rows."""
     for ms, rows in dilation_rows(elements, n, multipliers):
-        gaps = np.diff(rows, axis=1, prepend=rows[:, -1:] - n) - 1
-        first = gaps.argmax(axis=1)
-        r = np.arange(len(rows))
-        yield ms, gaps[r, first], rows[r, first]
+        steps = np.empty_like(rows)  # each member less the one before it, circularly
+        np.subtract(rows[:, 1:], rows[:, :-1], out=steps[:, 1:])
+        np.subtract(rows[:, 0] + n, rows[:, -1], out=steps[:, 0])
+        at = steps.argmax(axis=1) + np.arange(0, rows.size, rows.shape[1])
+        yield ms, steps.ravel()[at] - 1, rows.ravel()[at]
 
 
 def sweep_sample(members) -> np.ndarray | None:

@@ -89,8 +89,8 @@ def _smaller_side(a: ResidueSet) -> np.ndarray:
     """The members of A, or of Z_p minus A for a set denser than half: both
     have the same |T(d)| at every d != 0 mod p, so Z_p reads 0."""
     p = a.modulus
-    mask = a.mask if 2 * len(a) <= p else a.mask ^ bits.full_mask(p)
-    return np.array(bits.elements_of(mask), dtype=np.int64)
+    side = a.members if 2 * len(a) <= p else bits.elements_of(a.mask ^ bits.full_mask(p))
+    return np.array(side, dtype=np.int64)
 
 
 def transform_magnitude(a: ResidueSet, d: int) -> float:
@@ -227,7 +227,7 @@ def _best_start(a: ResidueSet, d: int) -> tuple[int, int]:
     r = u - 1 + w: the least maximising start is 0 or r - w + 1 (mod p)."""
     p = a.modulus
     w = (p + 1) // 2
-    dilated = np.sort(np.array(a.elements(), dtype=np.int64) * d % p)
+    dilated = np.sort(np.array(a.members, dtype=np.int64) * d % p)
     ext = np.concatenate([dilated, dilated + p])
     starts = np.concatenate([[0], (dilated - w + 1) % p])
     counts = np.searchsorted(ext, starts + w) - np.searchsorted(ext, starts)
@@ -269,13 +269,13 @@ def best_half_window(a: ResidueSet) -> RectWindow:
     w = (p + 1) // 2
     if p <= EXACT_SEARCH_MAX_P:
         mode = "exact"
-        fit = half_window_fit(a.elements(), p, half_units(p))
+        fit = half_window_fit(a.members, p, half_units(p))
         if fit is not None:
             (d, u), count = fit, len(a)
         else:
             # sliding a start right to the next member never loses a capture
             count, d = -1, None
-            for ms, rows in dilation_rows(a.elements(), p, half_units(p)):
+            for ms, rows in dilation_rows(a.members, p, half_units(p)):
                 per_d = _member_window_counts(rows, p, w).max(axis=1)
                 i = int(per_d.argmax())  # first row: smallest dilation
                 if per_d[i] > count:

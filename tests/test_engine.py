@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from addcomb import freiman, linalg
@@ -207,9 +208,77 @@ def test_verify_rechecks_the_rectified_cover(monkeypatch, change, message):
     from addcomb.errors import ConsistencyError
 
     cover = engine.cover_3k4
-    monkeypatch.setattr(engine, "cover_3k4", lambda ints: change(cover(ints)))
+    monkeypatch.setattr(engine, "cover_3k4", lambda ints, size: change(cover(ints, size)))
     with pytest.raises(ConsistencyError, match=message):
         prove_cover(rs(101, [*range(21), 24]))
+
+
+def integer_sumset_size(ints) -> int:
+    """|A + A| over Z, by one convolution of A's indicator on its span."""
+    x = np.asarray(ints) - min(ints)
+    on = np.zeros(x.max() + 1)
+    on[x] = 1.0
+    return int(np.count_nonzero(np.convolve(on, on) > 0.5))
+
+
+def test_rectified_cover_reads_the_known_sumset_size(monkeypatch, rng):
+    # every image the 3k-4 finish covers is A under an affine bijection,
+    # inside a half window where no sum wraps, so the |2A| the engine hands
+    # cover_3k4 is its integer sumset's size: on the benchmark's three
+    # shapes, the exact-mode case-1 draws and Fourier-mode case 1 and 2(ii)
+    from addcomb import engine
+
+    cover, sizes = engine.cover_3k4, []
+
+    def checked(ints, size):
+        sizes.append((size, integer_sumset_size(ints.elements)))
+        return cover(ints, size)
+
+    monkeypatch.setattr(engine, "cover_3k4", checked)
+    queries = [
+        *pinned_corpus(),
+        *exact_mode_draws(rng, 200),
+        rs(16411, [*range(1601), *range(5797, 8243)]),  # case 2(ii)
+    ]
+    finished = {}
+    for a in queries:
+        sizes.clear()
+        t = prove_cover(a)
+        two_a = len(sumset(a))
+        assert all(given == two_a == found for given, found in sizes), a.literal()
+        if t.branch != BRANCH_FALLBACK:
+            assert len(sizes) == 1 and t.result.bound == two_a - len(a) + 1
+            finished[t.branch] = finished.get(t.branch, 0) + 1
+    assert set(finished) == {BRANCH_WHOLE, BRANCH_CASE1, BRANCH_CASE2_II}
+
+
+def test_whole_set_query_unpacks_once_and_builds_no_integer_sumset(monkeypatch):
+    # one unpack of A, whose members the set keeps and the rectification
+    # maps, one mask for the window's dilate, and |2A| read, not rebuilt,
+    # by cover_3k4
+    from addcomb import bits, intsets
+
+    calls = {"elements_of": 0, "mask_of": 0, "_sumset_mask": 0}
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    p = 16411
+    fourier = [(5 + 37 * i) % p for i in (0, 1, 2, 3, 5, 6, 8, 9, 10, 12, 13)]
+    queries = [rs(101, [*range(21), 24]), rs(p, fourier)]
+    for name in calls:
+        counting(intsets if name == "_sumset_mask" else bits, name)
+    for a in queries:
+        calls.update(dict.fromkeys(calls, 0))
+        t = prove_cover(a)
+        assert t.branch == BRANCH_WHOLE
+        assert calls["elements_of"] <= 1 and calls["mask_of"] <= 1 and not calls["_sumset_mask"], calls
 
 
 def test_full_group_capture_bound_is_exactly_half():
@@ -220,20 +289,27 @@ def test_full_group_capture_bound_is_exactly_half():
         assert t.annotations["window_capture_lower_bound"] == p / 2
 
 
-def test_exact_mode_finishes_only_on_the_whole_set(rng):
-    # In exact mode the window search maximizes capture over every unit
-    # dilation, so a capture below |A| means no map s*x + t fits A in a
-    # half window: case 1, 2(ii) and 2(iii) all fail their window fit.
-    reached_case1 = 0
-    for _ in range(800):
+def exact_mode_draws(rng, count):
+    """Progressions of Z_p, p <= 401, plus one or two random residues: the
+    queries that reach case 1 in exact mode."""
+    for _ in range(count):
         p = rng.choice([101, 127, 199, 251, 401])
         length = rng.randrange(20, p // 4)
         step = rng.randrange(1, p)
         els = {i * step % p for i in range(length)}
         els |= {rng.randrange(p) for _ in range(rng.randrange(1, 3))}
-        t = prove_cover(rs(p, els))
+        yield rs(p, els)
+
+
+def test_exact_mode_finishes_only_on_the_whole_set(rng):
+    # In exact mode the window search maximizes capture over every unit
+    # dilation, so a capture below |A| means no map s*x + t fits A in a
+    # half window: case 1, 2(ii) and 2(iii) all fail their window fit.
+    reached_case1 = 0
+    for a in exact_mode_draws(rng, 800):
+        t = prove_cover(a)
         assert t.window.mode == "exact"
-        if len(t.window) == len(els):
+        if len(t.window) == len(a):
             continue
         assert t.branch not in (BRANCH_CASE1, BRANCH_CASE2_II, BRANCH_CASE2_III)
         if t.dim_a1 == 1:

@@ -1,4 +1,7 @@
 import itertools
+import pickle
+from dataclasses import fields
+from math import gcd
 
 import numpy as np
 import pytest
@@ -42,15 +45,43 @@ def rs(n, els):
 
 # --- bit iterator -------------------------------------------------------------
 
-def test_elements_of_and_dilate_mask_against_loops(rng):
+def test_elements_of_and_dilate_against_loops(rng):
     for n in (1, 7, 8, 64, 65, 2003, 16381):
         for size in {0, 1, n // 3, n}:
             els = sorted(rng.sample(range(n), size))
             mask = bits.mask_of(els, n)
             assert bits.elements_of(mask) == [i for i in range(n) if mask >> i & 1] == els
             d = rng.randrange(1, n + 1)
+            if n == 1:
+                continue
+            if gcd(d, n) != 1:
+                with pytest.raises(NonUnitDilationError):
+                    dilate(ResidueSet(n, mask), d)
+                continue
             dilated = {e * d % n for e in els}
-            assert bits.dilate_mask(mask, d, n) == sum(1 << x for x in dilated)
+            assert dilate(ResidueSet(n, mask), d).mask == sum(1 << x for x in dilated)
+
+
+def test_cached_members_are_invisible(rng):
+    # the members kept after the first read are a tuple outside the fields:
+    # a caller's list cannot change the set, and a read set is the same
+    # value as a fresh one to ==, hash, order, repr and pickle
+    for n in (2, 101, 65537):
+        els = sorted(rng.sample(range(n), min(n, 20)))
+        read, fresh, other = rs(n, els), rs(n, els), rs(n, [1])
+        listed = read.elements()
+        listed[0] = -1
+        listed.append(n)
+        assert read.elements() == els and read.members == tuple(els)
+        assert read.mask == fresh.mask and len(read) == len(els)
+        assert [f.name for f in fields(read)] == ["modulus", "mask"]
+        assert read == fresh and hash(read) == hash(fresh) and repr(read) == repr(fresh)
+        assert not read < fresh and not fresh < read
+        assert sorted([other, read]) == sorted([other, fresh]) == sorted([fresh, other])
+        assert (read < other) == (fresh < other)
+        assert pickle.dumps(read) == pickle.dumps(fresh)
+        back = pickle.loads(pickle.dumps(read))
+        assert back == fresh and "members" not in vars(back) and back.elements() == els
 
 
 def packbits_mask(els, n):

@@ -93,6 +93,30 @@ def test_dilation_gaps_chunking_keeps_row_order():
     assert (last[1][-1], last[2][-1]) == brute_gap(els, p, int(ms[-1]))
 
 
+@pytest.mark.parametrize("p, dtype, next_prime", [
+    (181, np.int16, 191), (46337, np.int32, 46349), (65537, np.int64, 65539),
+])
+def test_dilation_gaps_match_brute_rows_at_each_row_width(monkeypatch, rng, p, dtype, next_prime):
+    # the largest primes with int16 rows (p^2 < 2^15) and int32 rows
+    # (p^2 < 2^31), and an int64 one; stacks of 5 sets of k members, the
+    # singletons' run p - 1, in chunks of a few rows each
+    assert residues._product_dtype(p) == dtype
+    assert residues._product_dtype(next_prime) == (np.int32 if dtype == np.int16 else np.int64)
+    monkeypatch.setattr(residues, "CANONICAL_STEP_ENTRIES", 64)
+    ms = sorted(rng.sample(range(1, p // 2 + 1), 40))
+    for k in (1, 2, 9):
+        stack = [rng.sample(range(p), k) for _ in range(5)]
+        got = [[] for _ in stack]
+        for chunk, gaps, ends in dilation_gaps(stack, p, ms):
+            assert gaps.dtype == ends.dtype == dtype
+            per_set = zip(gaps.reshape(len(stack), -1).tolist(), ends.reshape(len(stack), -1).tolist())
+            for row, (set_gaps, set_ends) in zip(got, per_set):
+                row += zip(chunk.tolist(), set_gaps, set_ends)
+        for els, row in zip(stack, got):
+            assert row == [(m, *brute_gap(els, p, m)) for m in ms]
+            assert k > 1 or {gap for _, gap, _ in row} == {p - 1}
+
+
 def test_sweeps_exhaustive_tiny_primes():
     for p in (2, 3, 5, 7):
         for mask in range(1, 1 << p):
